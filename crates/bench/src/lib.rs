@@ -1,8 +1,8 @@
-//! Shared fixtures for the benchmark harness.
+//! Shared fixtures for `rascad bench`.
 //!
-//! One Criterion bench per paper artifact lives in `benches/`; this
-//! library holds the model fixtures they share so benchmark and test
-//! code agree on exactly which models each experiment uses.
+//! The reference blocks of the paper's experiments and the fixed
+//! workloads the benchmark suite times, kept in one place so benchmark
+//! and test code agree on exactly which models each experiment uses.
 
 use rascad_spec::units::{Fit, Hours, Minutes};
 use rascad_spec::{BlockParams, GlobalParams, RedundancyParams, Scenario};

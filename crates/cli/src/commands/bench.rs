@@ -32,7 +32,7 @@ use super::CliError;
 
 /// Version tag of the emitted document; bump on breaking layout
 /// changes so stale baselines are rejected instead of mis-compared.
-const SCHEMA: &str = "rascad-bench/v1";
+const SCHEMA: &str = "rascad-bench/v2";
 
 /// Accuracy gate: `--compare` fails (exit 6) when a stage's certified
 /// residual grew by at least this factor over the baseline.
@@ -59,12 +59,49 @@ struct BenchArgs {
     fail_ratio: f64,
     floor_us: f64,
     residual_floor: f64,
-    sweep: bool,
-    large: bool,
-    serve: bool,
+    workload: Workload,
 }
 
-/// Runs `bench [--quick|--full] [--sweep|--large] [--label L] [--out F]
+/// The workload a `bench` run times. Each has its own gate table
+/// ([`Workload::gates`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Workload {
+    /// The default pipeline suite.
+    Suite,
+    /// `--sweep`: the cached/parallel sweep engine against the
+    /// sequential reference.
+    Sweep,
+    /// `--large`: the sparse rung, the occupancy expansion, and a lump
+    /// proof.
+    Large,
+    /// `--serve`: an in-process daemon under load over real sockets.
+    Serve,
+}
+
+impl Workload {
+    const ALL: [Workload; 4] = [Workload::Suite, Workload::Sweep, Workload::Large, Workload::Serve];
+
+    /// The name the document records under `workload`.
+    fn name(self) -> &'static str {
+        match self {
+            Workload::Suite => "suite",
+            Workload::Sweep => "sweep",
+            Workload::Large => "large",
+            Workload::Serve => "serve",
+        }
+    }
+
+    /// The default label, so `bench --sweep` writes the committed
+    /// baseline name `BENCH_sweep.json` out of the box.
+    fn default_label(self) -> &'static str {
+        match self {
+            Workload::Suite => "local",
+            other => other.name(),
+        }
+    }
+}
+
+/// Runs `bench [--quick|--full] [--sweep|--large|--serve] [--label L] [--out F]
 /// [--json] [--compare BASE] [--warn-ratio R] [--fail-ratio R]
 /// [--floor-us US]` or `bench --validate <file>`.
 pub fn bench(args: &[&str]) -> Result<String, CliError> {
@@ -88,18 +125,17 @@ fn parse_args(args: &[&str]) -> Result<BenchArgs, CliError> {
         fail_ratio: 2.0,
         floor_us: 50.0,
         residual_floor: DEFAULT_RESIDUAL_FLOOR,
-        sweep: false,
-        large: false,
-        serve: false,
+        workload: Workload::Suite,
     };
+    let mut workloads = Vec::new();
     let mut it = args.iter().copied();
     while let Some(arg) = it.next() {
         match arg {
             "--quick" => parsed.profile = BenchProfile::quick(),
             "--full" => parsed.profile = BenchProfile::full(),
-            "--sweep" => parsed.sweep = true,
-            "--large" => parsed.large = true,
-            "--serve" => parsed.serve = true,
+            "--sweep" => workloads.push(Workload::Sweep),
+            "--large" => workloads.push(Workload::Large),
+            "--serve" => workloads.push(Workload::Serve),
             "--json" => parsed.json = true,
             "--label" => parsed.label = flag_value(&mut it, "--label")?.to_string(),
             "--out" => parsed.out = Some(flag_value(&mut it, "--out")?.to_string()),
@@ -113,24 +149,16 @@ fn parse_args(args: &[&str]) -> Result<BenchArgs, CliError> {
             }
         }
     }
-    if usize::from(parsed.sweep) + usize::from(parsed.large) + usize::from(parsed.serve) > 1 {
-        return Err(CliError::usage(
-            "--sweep, --large, and --serve are separate workloads; pick one",
-        ));
+    if let Some(&first) = workloads.first() {
+        if workloads.iter().any(|w| *w != first) {
+            return Err(CliError::usage(
+                "--sweep, --large, and --serve are separate workloads; pick one",
+            ));
+        }
+        parsed.workload = first;
     }
     if parsed.label.is_empty() {
-        // The workload-specific suites default to their committed
-        // baseline names so `bench --sweep` / `bench --large` /
-        // `bench --serve` write BENCH_<workload>.json out of the box.
-        parsed.label = if parsed.sweep {
-            "sweep".to_string()
-        } else if parsed.large {
-            "large".to_string()
-        } else if parsed.serve {
-            "serve".to_string()
-        } else {
-            "local".to_string()
-        };
+        parsed.label = parsed.workload.default_label().to_string();
     }
     if !parsed.label.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_') {
         return Err(CliError::usage(format!(
@@ -213,7 +241,27 @@ fn worst_certificate(certs: impl IntoIterator<Item = SolutionCertificate>) -> Op
 struct Checks {
     availability: f64,
     yearly_downtime_minutes: f64,
-    sim_availability: f64,
+    /// The simulator's estimate; only the suite runs a simulation.
+    sim_availability: Option<f64>,
+}
+
+impl Checks {
+    /// Checks for a workload that measures only an availability.
+    fn from_availability(availability: f64) -> Checks {
+        Checks {
+            availability,
+            yearly_downtime_minutes: (1.0 - availability) * Hours::PER_YEAR * 60.0,
+            sim_availability: None,
+        }
+    }
+}
+
+/// What one workload run produced: per-stage timings, the spot checks,
+/// and the value of every claim its gate table bounds, in table order.
+struct WorkloadRun {
+    stages: Vec<StageResult>,
+    checks: Checks,
+    claims: Vec<(&'static str, Value)>,
 }
 
 /// Forwards span events into a [`SpanTreeAgg`] and keeps the final
@@ -296,7 +344,7 @@ fn markov_err(stage: &'static str) -> impl Fn(MarkovError) -> CliError {
     move |source| CliError::Solver(CoreError::Markov { block: stage.to_string(), source })
 }
 
-fn run_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, Checks), CliError> {
+fn run_stages(profile: &BenchProfile) -> Result<WorkloadRun, CliError> {
     let globals = rascad_bench::globals();
     let blocks = workloads::chain_type_blocks();
     let hierarchy = workloads::hierarchy_spec();
@@ -314,7 +362,7 @@ fn run_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, Checks), CliE
     })?);
 
     for (ty, params) in &blocks {
-        let name = generate_stage_name(*ty);
+        let name = GENERATE_STAGES[usize::from(*ty)];
         stages.push(time_stage(name, reps, || {
             for _ in 0..8 {
                 black_box(generate_block(params, &globals)?);
@@ -436,18 +484,14 @@ fn run_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, Checks), CliE
         Ok(())
     })?);
 
-    Ok((stages, Checks { availability, yearly_downtime_minutes, sim_availability }))
+    let checks =
+        Checks { availability, yearly_downtime_minutes, sim_availability: Some(sim_availability) };
+    Ok(WorkloadRun { stages, checks, claims: Vec::new() })
 }
 
-fn generate_stage_name(ty: u8) -> &'static str {
-    match ty {
-        0 => "generate_type0",
-        1 => "generate_type1",
-        2 => "generate_type2",
-        3 => "generate_type3",
-        _ => "generate_type4",
-    }
-}
+/// Stage names of the five chain-template generations, by type.
+const GENERATE_STAGES: [&str; 5] =
+    ["generate_type0", "generate_type1", "generate_type2", "generate_type3", "generate_type4"];
 
 // ---------------------------------------------------------------------------
 // Sweep-scaling workload (`--sweep`)
@@ -456,35 +500,14 @@ fn generate_stage_name(ty: u8) -> &'static str {
 /// Contender thread count for the sweep-scaling workload.
 const SWEEP_THREADS: usize = 4;
 
-/// Results of the sweep-scaling workload: the pre-engine behavior
+/// Times the sweep-scaling workload: the pre-engine behavior
 /// (sequential, cache-free) against the solve engine at one and
 /// [`SWEEP_THREADS`] workers, plus the cache statistics of one
 /// instrumented run and a bit-identity verdict against the reference.
-struct SweepScaling {
-    points: usize,
-    blocks: usize,
-    threads: usize,
-    baseline_us: f64,
-    engine_t1_us: f64,
-    engine_tn_us: f64,
-    /// `baseline_us / engine_tn_us`: what the engine buys end to end.
-    speedup_vs_baseline: f64,
-    /// `engine_t1_us / engine_tn_us`: thread scaling alone, which stays
-    /// near 1.0 on single-core machines where the gain is all cache.
-    thread_scaling: f64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_hit_rate: f64,
-    bit_identical: bool,
-    availability: f64,
-    yearly_downtime_minutes: f64,
-}
-
-/// Times the sweep-scaling workload. Every timed run builds a fresh
-/// engine so its cache starts cold; the hits measured are the ones a
-/// single sweep earns for itself by reusing unchanged blocks across
-/// points.
-fn run_sweep_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, SweepScaling), CliError> {
+/// Every timed run builds a fresh engine so its cache starts cold; the
+/// hits measured are the ones a single sweep earns for itself by
+/// reusing unchanged blocks across points.
+fn run_sweep_stages(profile: &BenchProfile) -> Result<WorkloadRun, CliError> {
     let base = workloads::sweep_scaling_spec();
     let blocks = base.root.blocks.len();
     let points = workloads::SWEEP_SCALING_POINTS;
@@ -534,74 +557,41 @@ fn run_sweep_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, SweepSc
                 && r.solution == c.solution
         });
 
-    let baseline_us = stages[0].min_us;
-    let engine_t1_us = stages[1].min_us;
-    let engine_tn_us = stages[2].min_us;
+    let (baseline_us, engine_t1_us, engine_tn_us) =
+        (stages[0].min_us, stages[1].min_us, stages[2].min_us);
     let first = &reference[0].solution.system;
-    let scaling = SweepScaling {
-        points,
-        blocks,
-        threads: SWEEP_THREADS,
-        baseline_us,
-        engine_t1_us,
-        engine_tn_us,
-        speedup_vs_baseline: baseline_us / engine_tn_us.max(1e-9),
-        thread_scaling: engine_t1_us / engine_tn_us.max(1e-9),
-        cache_hits: stats.hits,
-        cache_misses: stats.misses,
-        cache_hit_rate: stats.hit_rate(),
-        bit_identical,
+    let checks = Checks {
         availability: first.availability,
         yearly_downtime_minutes: first.yearly_downtime_minutes,
+        sim_availability: None,
     };
-    Ok((stages, scaling))
-}
-
-fn sweep_scaling_json(s: &SweepScaling) -> Value {
-    Value::Obj(vec![
-        ("points".to_string(), Value::from(s.points)),
-        ("blocks".to_string(), Value::from(s.blocks)),
-        ("threads".to_string(), Value::from(s.threads)),
-        ("baseline_us".to_string(), Value::Num(s.baseline_us)),
-        ("engine_t1_us".to_string(), Value::Num(s.engine_t1_us)),
-        ("engine_tn_us".to_string(), Value::Num(s.engine_tn_us)),
-        ("speedup_vs_baseline".to_string(), Value::Num(s.speedup_vs_baseline)),
-        ("thread_scaling".to_string(), Value::Num(s.thread_scaling)),
-        ("cache_hits".to_string(), Value::from(s.cache_hits as usize)),
-        ("cache_misses".to_string(), Value::from(s.cache_misses as usize)),
-        ("cache_hit_rate".to_string(), Value::Num(s.cache_hit_rate)),
-        ("bit_identical".to_string(), Value::from(s.bit_identical)),
-    ])
+    let claims = vec![
+        ("points", Value::from(points)),
+        ("blocks", Value::from(blocks)),
+        ("threads", Value::from(SWEEP_THREADS)),
+        // What the engine buys end to end.
+        ("speedup_vs_baseline", Value::Num(baseline_us / engine_tn_us.max(1e-9))),
+        // Thread scaling alone, which stays near 1.0 on single-core
+        // machines where the gain is all cache.
+        ("thread_scaling", Value::Num(engine_t1_us / engine_tn_us.max(1e-9))),
+        ("cache_hits", Value::from(stats.hits)),
+        ("cache_misses", Value::from(stats.misses)),
+        ("cache_hit_rate", Value::Num(stats.hit_rate())),
+        ("bit_identical", Value::from(bit_identical)),
+    ];
+    Ok(WorkloadRun { stages, checks, claims })
 }
 
 // ---------------------------------------------------------------------------
 // Large-state-space workload (`--large`)
 // ---------------------------------------------------------------------------
 
-/// Results of the large-state-space workload: the sparse iterative
-/// rung on a 10^4–10^5-state birth–death chain, the generator's
-/// occupancy expansion of a thousand-unit k-out-of-n block, and a
-/// brute-force proof that exact lumping preserves the stationary
-/// vector on a `2^8`-state product space.
-struct LargeScaling {
-    sparse_states: usize,
-    sparse_solve_us: f64,
-    /// Repeated sparse solves of the same chain agree bit for bit
-    /// (the sweep order is fixed, so they must).
-    bit_identical: bool,
-    block_units: u32,
-    block_states: usize,
-    block_solve_us: f64,
-    block_availability: f64,
-    lump_proof_units: u32,
-    lump_full_states: usize,
-    lump_states: usize,
-    /// Worst classwise difference between the aggregated product-space
-    /// stationary vector and the lumped chain's.
-    lump_max_delta: f64,
-}
-
-fn run_large_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, LargeScaling), CliError> {
+/// Times the large-state-space workload: the sparse iterative rung on
+/// a 10^4–10^5-state birth–death chain, the generator's occupancy
+/// expansion of a thousand-unit k-out-of-n block, and a brute-force
+/// proof that exact lumping preserves the stationary vector on a
+/// `2^8`-state product space.
+fn run_large_stages(profile: &BenchProfile) -> Result<WorkloadRun, CliError> {
     use rascad_markov::{identical_units_product, lump, occupancy_partition};
 
     let reps = profile.iterations;
@@ -616,9 +606,12 @@ fn run_large_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, LargeSc
         Ok(())
     })?;
     stage.cert = steady_stage_cert(std::slice::from_ref(&chain), method, "sparse")?;
-    let sparse_solve_us = stage.min_us;
+    let (sparse_verdict_ok, sparse_residual) =
+        stage.cert.as_ref().map_or((false, f64::NAN), |c| (c.verdict == "ok", c.residual));
     stages.push(stage);
 
+    // Repeated sparse solves of the same chain must agree bit for bit
+    // (the sweep order is fixed).
     let first = chain.steady_state(method).map_err(markov_err("large_sparse"))?;
     let second = chain.steady_state(method).map_err(markov_err("large_sparse"))?;
     let bit_identical = first.len() == second.len()
@@ -640,7 +633,6 @@ fn run_large_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, LargeSc
         Ok(())
     })?;
     stage.cert = steady_stage_cert(std::slice::from_ref(&model.chain), block_method, "sparse")?;
-    let block_solve_us = stage.min_us;
     stages.push(stage);
     let pi = model.chain.steady_state(block_method).map_err(markov_err("large_block_solve"))?;
     let block_availability: f64 =
@@ -668,72 +660,28 @@ fn run_large_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, LargeSc
         .map(|(a, b)| (a - b).abs())
         .fold(0.0f64, f64::max);
 
-    let scaling = LargeScaling {
-        sparse_states: chain.len(),
-        sparse_solve_us,
-        bit_identical,
-        block_units: workloads::LARGE_BLOCK_UNITS,
-        block_states: model.chain.len(),
-        block_solve_us,
-        block_availability,
-        lump_proof_units: units,
-        lump_full_states: full.len(),
-        lump_states: small.len(),
-        lump_max_delta,
-    };
-    Ok((stages, scaling))
-}
-
-fn large_scaling_json(s: &LargeScaling) -> Value {
-    Value::Obj(vec![
-        ("sparse_states".to_string(), Value::from(s.sparse_states)),
-        ("sparse_solve_us".to_string(), Value::Num(s.sparse_solve_us)),
-        ("bit_identical".to_string(), Value::from(s.bit_identical)),
-        ("block_units".to_string(), Value::from(s.block_units as usize)),
-        ("block_states".to_string(), Value::from(s.block_states)),
-        ("block_solve_us".to_string(), Value::Num(s.block_solve_us)),
-        ("block_availability".to_string(), Value::Num(s.block_availability)),
-        ("lump_proof_units".to_string(), Value::from(s.lump_proof_units as usize)),
-        ("lump_full_states".to_string(), Value::from(s.lump_full_states)),
-        ("lump_states".to_string(), Value::from(s.lump_states)),
-        ("lump_max_delta".to_string(), Value::Num(s.lump_max_delta)),
-    ])
+    let claims = vec![
+        ("sparse_states", Value::from(chain.len())),
+        ("sparse_rung", Value::from(method == SteadyStateMethod::Sparse)),
+        ("sparse_verdict_ok", Value::from(sparse_verdict_ok)),
+        ("sparse_residual", Value::Num(sparse_residual)),
+        ("bit_identical", Value::from(bit_identical)),
+        ("block_units", Value::from(workloads::LARGE_BLOCK_UNITS)),
+        ("block_states", Value::from(model.chain.len())),
+        ("block_availability", Value::Num(block_availability)),
+        ("lump_proof_units", Value::from(units)),
+        ("lump_full_states", Value::from(full.len())),
+        ("lump_states", Value::from(small.len())),
+        // Worst classwise difference between the aggregated
+        // product-space stationary vector and the lumped chain's.
+        ("lump_max_delta", Value::Num(lump_max_delta)),
+    ];
+    Ok(WorkloadRun { stages, checks: Checks::from_availability(block_availability), claims })
 }
 
 // ---------------------------------------------------------------------------
 // Service load workload (`--serve`)
 // ---------------------------------------------------------------------------
-
-/// Results of the service load workload: an in-process daemon driven
-/// over real sockets — a >= 1000-solve throughput phase with a latency
-/// histogram, a capacity-saturating burst that must shed, a 50 ms
-/// deadline probe on a 10^5-state chain that must abort typed, and a
-/// graceful drain.
-struct ServeLoad {
-    /// Successful (200) solves in the throughput phase.
-    solves: usize,
-    /// Every request the server answered across all phases.
-    requests: u64,
-    /// 429 responses observed during the burst phase.
-    shed: u64,
-    /// Shed fraction of the burst-phase attempts.
-    shed_rate: f64,
-    p50_ms: f64,
-    p90_ms: f64,
-    p99_ms: f64,
-    /// Round-trip of the 50 ms-deadline probe on the big chain.
-    deadline_probe_ms: f64,
-    /// The probe answered 504 with the typed `deadline` error kind.
-    deadline_typed: bool,
-    /// `/metrics` passed the Prometheus exposition validator.
-    metrics_page_valid: bool,
-    /// Two identical solve requests returned byte-identical bodies.
-    bit_identical: bool,
-    /// The shutdown drain finished inside the timeout.
-    drained_clean: bool,
-    /// System availability parsed back out of a solve response.
-    availability: f64,
-}
 
 /// One blocking HTTP exchange against the in-process daemon.
 fn serve_request(
@@ -790,7 +738,22 @@ fn serve_big_spec() -> String {
     SystemSpec::new(root, GlobalParams::default()).to_dsl()
 }
 
-/// Latency percentile over an unsorted sample, nearest-rank.
+/// A stage summarizing latency samples (milliseconds, sorted ascending)
+/// taken outside [`time_stage`].
+#[allow(clippy::cast_precision_loss)] // sample counts stay far below 2^52
+fn latency_stage(name: &'static str, sorted_ms: &[f64]) -> StageResult {
+    let mean_ms = sorted_ms.iter().sum::<f64>() / sorted_ms.len().max(1) as f64;
+    StageResult {
+        name,
+        runs: sorted_ms.len(),
+        min_us: sorted_ms.first().map_or(f64::NAN, |ms| ms * 1e3),
+        mean_us: mean_ms * 1e3,
+        max_us: sorted_ms.last().map_or(f64::NAN, |ms| ms * 1e3),
+        cert: None,
+    }
+}
+
+/// Latency percentile over a sorted sample, nearest-rank.
 fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return f64::NAN;
@@ -801,9 +764,13 @@ fn percentile_ms(sorted: &[f64], p: f64) -> f64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+/// Drives an in-process daemon over real sockets: a >= 1000-solve
+/// throughput phase with a latency histogram, a capacity-saturating
+/// burst that must shed, a 50 ms deadline probe on a 10^5-state chain
+/// that must abort typed, a metrics scrape, and a graceful drain.
 #[allow(clippy::cast_precision_loss)] // request counts stay far below 2^52
 #[allow(clippy::too_many_lines)]
-fn run_serve_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, ServeLoad), CliError> {
+fn run_serve_stages(profile: &BenchProfile) -> Result<WorkloadRun, CliError> {
     use rascad_serve::{AdmissionConfig, ServeConfig, Server};
 
     let server = Server::bind(ServeConfig {
@@ -864,15 +831,7 @@ fn run_serve_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, ServeLo
         Ok(())
     })?;
     latencies_ms.sort_by(f64::total_cmp);
-    let sum_ms: f64 = latencies_ms.iter().sum();
-    stages.push(StageResult {
-        name: "serve_solve",
-        runs: solves,
-        min_us: latencies_ms.first().copied().unwrap_or(f64::NAN) * 1e3,
-        mean_us: sum_ms / solves.max(1) as f64 * 1e3,
-        max_us: latencies_ms.last().copied().unwrap_or(f64::NAN) * 1e3,
-        cert: None,
-    });
+    stages.push(latency_stage("serve_solve", &latencies_ms));
 
     // Availability spot check + response bit-identity, on the warm cache.
     let solve_body = r#"{"tenant":"bench-0","spec_name":"wl"}"#.to_string();
@@ -922,15 +881,7 @@ fn run_serve_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, ServeLo
     })?;
     let shed_rate = shed as f64 / burst_attempts.max(1) as f64;
     burst_latencies.sort_by(f64::total_cmp);
-    let burst_sum: f64 = burst_latencies.iter().sum();
-    stages.push(StageResult {
-        name: "serve_shed_burst",
-        runs: burst_latencies.len(),
-        min_us: burst_latencies.first().copied().unwrap_or(f64::NAN) * 1e3,
-        mean_us: burst_sum / burst_latencies.len().max(1) as f64 * 1e3,
-        max_us: burst_latencies.last().copied().unwrap_or(f64::NAN) * 1e3,
-        cert: None,
-    });
+    stages.push(latency_stage("serve_shed_burst", &burst_latencies));
 
     // Deadline probe: the big chain under a 50 ms budget must abort
     // with the typed deadline family, promptly.
@@ -943,14 +894,7 @@ fn run_serve_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, ServeLo
             .ok()
             .and_then(|v| Some(v.get("error")?.get("kind")?.as_str()? == "deadline"))
             .unwrap_or(false);
-    stages.push(StageResult {
-        name: "serve_deadline_probe",
-        runs: 1,
-        min_us: deadline_probe_ms * 1e3,
-        mean_us: deadline_probe_ms * 1e3,
-        max_us: deadline_probe_ms * 1e3,
-        cert: None,
-    });
+    stages.push(latency_stage("serve_deadline_probe", &[deadline_probe_ms]));
 
     // Scrape phase: the exposition page must validate.
     let mut metrics_page_valid = false;
@@ -965,41 +909,29 @@ fn run_serve_stages(profile: &BenchProfile) -> Result<(Vec<StageResult>, ServeLo
     let summary =
         runner.join().map_err(|_| CliError::Serve("server thread panicked".to_string()))?;
 
-    let load = ServeLoad {
-        solves,
-        requests: summary.requests,
-        shed,
-        shed_rate,
-        p50_ms: percentile_ms(&latencies_ms, 50.0),
-        p90_ms: percentile_ms(&latencies_ms, 90.0),
-        p99_ms: percentile_ms(&latencies_ms, 99.0),
-        deadline_probe_ms,
-        deadline_typed,
-        metrics_page_valid,
-        bit_identical,
-        drained_clean: summary.drained_clean,
-        availability,
-    };
-    Ok((stages, load))
-}
-
-#[allow(clippy::cast_precision_loss)] // counters stay far below 2^52
-fn serve_load_json(s: &ServeLoad) -> Value {
-    Value::Obj(vec![
-        ("solves".to_string(), Value::from(s.solves)),
-        ("requests".to_string(), Value::from(s.requests as usize)),
-        ("shed".to_string(), Value::from(s.shed as usize)),
-        ("shed_rate".to_string(), Value::Num(s.shed_rate)),
-        ("p50_ms".to_string(), Value::Num(s.p50_ms)),
-        ("p90_ms".to_string(), Value::Num(s.p90_ms)),
-        ("p99_ms".to_string(), Value::Num(s.p99_ms)),
-        ("deadline_probe_ms".to_string(), Value::Num(s.deadline_probe_ms)),
-        ("deadline_typed".to_string(), Value::from(s.deadline_typed)),
-        ("metrics_page_valid".to_string(), Value::from(s.metrics_page_valid)),
-        ("bit_identical".to_string(), Value::from(s.bit_identical)),
-        ("drained_clean".to_string(), Value::from(s.drained_clean)),
-        ("availability".to_string(), Value::Num(s.availability)),
-    ])
+    let claims = vec![
+        // Successful (200) solves in the throughput phase.
+        ("solves", Value::from(solves)),
+        // Every request the server answered across all phases.
+        ("requests", Value::from(summary.requests)),
+        // 429 responses during the burst, and their share of it.
+        ("shed", Value::from(shed)),
+        ("shed_rate", Value::Num(shed_rate)),
+        ("p50_ms", Value::Num(percentile_ms(&latencies_ms, 50.0))),
+        ("p90_ms", Value::Num(percentile_ms(&latencies_ms, 90.0))),
+        ("p99_ms", Value::Num(percentile_ms(&latencies_ms, 99.0))),
+        // The probe answered 504 with the typed `deadline` error kind.
+        ("deadline_typed", Value::from(deadline_typed)),
+        // `/metrics` passed the Prometheus exposition validator.
+        ("metrics_page_valid", Value::from(metrics_page_valid)),
+        // Two identical solve requests returned byte-identical bodies.
+        ("bit_identical", Value::from(bit_identical)),
+        // The shutdown drain finished inside the timeout.
+        ("drained_clean", Value::from(summary.drained_clean)),
+        // System availability parsed back out of a solve response.
+        ("availability", Value::Num(availability)),
+    ];
+    Ok(WorkloadRun { stages, checks: Checks::from_availability(availability), claims })
 }
 
 fn run_suite(args: &BenchArgs) -> Result<String, CliError> {
@@ -1017,37 +949,11 @@ fn run_suite(args: &BenchArgs) -> Result<String, CliError> {
     }
     let guard = CaptureGuard { active: own_subscriber };
 
-    let (stages, checks, scaling, large, serve) = if args.sweep {
-        let (stages, scaling) = run_sweep_stages(&args.profile)?;
-        let checks = Checks {
-            availability: scaling.availability,
-            yearly_downtime_minutes: scaling.yearly_downtime_minutes,
-            sim_availability: f64::NAN,
-        };
-        (stages, checks, Some(scaling), None, None)
-    } else if args.large {
-        let (stages, large) = run_large_stages(&args.profile)?;
-        let checks = Checks {
-            availability: large.block_availability,
-            yearly_downtime_minutes: (1.0 - large.block_availability)
-                * rascad_spec::units::Hours::PER_YEAR
-                * 60.0,
-            sim_availability: f64::NAN,
-        };
-        (stages, checks, None, Some(large), None)
-    } else if args.serve {
-        let (stages, serve) = run_serve_stages(&args.profile)?;
-        let checks = Checks {
-            availability: serve.availability,
-            yearly_downtime_minutes: (1.0 - serve.availability)
-                * rascad_spec::units::Hours::PER_YEAR
-                * 60.0,
-            sim_availability: f64::NAN,
-        };
-        (stages, checks, None, None, Some(serve))
-    } else {
-        let (stages, checks) = run_stages(&args.profile)?;
-        (stages, checks, None, None, None)
+    let run = match args.workload {
+        Workload::Suite => run_stages(&args.profile)?,
+        Workload::Sweep => run_sweep_stages(&args.profile)?,
+        Workload::Large => run_large_stages(&args.profile)?,
+        Workload::Serve => run_serve_stages(&args.profile)?,
     };
 
     if own_subscriber {
@@ -1055,16 +961,7 @@ fn run_suite(args: &BenchArgs) -> Result<String, CliError> {
     }
     drop(guard);
 
-    let mut doc = document(
-        args,
-        &stages,
-        &checks,
-        scaling.as_ref(),
-        large.as_ref(),
-        serve.as_ref(),
-        &tree,
-        &metrics,
-    );
+    let mut doc = document(args, &run, &tree, &metrics);
 
     let mut compare_report = None;
     if let Some(base_path) = &args.compare {
@@ -1101,30 +998,217 @@ fn run_suite(args: &BenchArgs) -> Result<String, CliError> {
         out.push('\n');
         return Ok(out);
     }
-    Ok(render_human(
-        args,
-        &stages,
-        &checks,
-        scaling.as_ref(),
-        large.as_ref(),
-        serve.as_ref(),
-        compare_report.as_deref(),
-        out_path.as_deref(),
-    ))
+    Ok(render_human(args, &run, compare_report.as_deref(), out_path.as_deref()))
+}
+
+// ---------------------------------------------------------------------------
+// Claims and their gates
+// ---------------------------------------------------------------------------
+
+/// A gate on one claim's value. Every numeric bound also requires a
+/// finite number.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Bound {
+    /// `value >= x`.
+    AtLeast(f64),
+    /// `value <= x`.
+    AtMost(f64),
+    /// `value < x`.
+    Below(f64),
+    /// An exact count (matched to within 0.5).
+    Equals(f64),
+    /// `lo < value <= hi`.
+    Within(f64, f64),
+    /// A flag that must be `true`.
+    True,
+    /// At least the value of the named claim in the same document.
+    AtLeastClaim(&'static str),
+}
+
+/// The bound on claims recorded for the reader but not gated — timings,
+/// ratios and counts that vary across hosts: finite and non-negative.
+const RECORDED: Bound = Bound::AtLeast(0.0);
+
+impl Bound {
+    /// The bound as a document records it, e.g. `>= 10000` or `< 1e-9`.
+    fn describe(self) -> String {
+        let num = |x: f64| if x.fract() == 0.0 { format!("{x}") } else { format!("{x:e}") };
+        match self {
+            Bound::AtLeast(x) => format!(">= {}", num(x)),
+            Bound::AtMost(x) => format!("<= {}", num(x)),
+            Bound::Below(x) => format!("< {}", num(x)),
+            Bound::Equals(x) => format!("== {}", num(x)),
+            Bound::Within(lo, hi) => format!("in ({}, {}]", num(lo), num(hi)),
+            Bound::True => "== true".to_string(),
+            Bound::AtLeastClaim(other) => format!(">= {other}"),
+        }
+    }
+
+    /// Whether `value` meets the bound; `claim` looks up the numeric
+    /// value of another claim for [`Bound::AtLeastClaim`].
+    fn holds(self, value: &Value, claim: impl Fn(&str) -> Option<f64>) -> bool {
+        let num = value.as_f64().filter(|v| v.is_finite());
+        match self {
+            Bound::AtLeast(x) => num.is_some_and(|v| v >= x),
+            Bound::AtMost(x) => num.is_some_and(|v| v <= x),
+            Bound::Below(x) => num.is_some_and(|v| v < x),
+            Bound::Equals(x) => num.is_some_and(|v| (v - x).abs() < 0.5),
+            Bound::Within(lo, hi) => num.is_some_and(|v| v > lo && v <= hi),
+            Bound::True => value.as_bool() == Some(true),
+            Bound::AtLeastClaim(other) => num.zip(claim(other)).is_some_and(|(v, o)| v >= o),
+        }
+    }
+}
+
+/// A workload's gate table: the stages its document must contain, and
+/// every claim it must make with the bound that claim must meet.
+struct Gates {
+    stages: &'static [&'static str],
+    claims: &'static [(&'static str, Bound)],
+}
+
+impl Gates {
+    fn bound(&self, claim: &str) -> Option<Bound> {
+        self.claims.iter().find(|(name, _)| *name == claim).map(|&(_, bound)| bound)
+    }
+}
+
+const LARGE_BLOCK_STATES: f64 = workloads::LARGE_BLOCK_UNITS as f64 + 1.0;
+const LUMP_STATES: f64 = workloads::LUMP_PROOF_UNITS as f64 + 1.0;
+
+/// The suite's answers are pinned by `checks` and `--compare`; it makes
+/// no claims.
+const SUITE_GATES: Gates = Gates { stages: &[], claims: &[] };
+
+/// Timing ratios are host-dependent and only recorded; the engine's
+/// results must match the sequential reference bit for bit.
+const SWEEP_GATES: Gates = Gates {
+    stages: &[],
+    claims: &[
+        ("points", RECORDED),
+        ("blocks", RECORDED),
+        ("threads", RECORDED),
+        ("speedup_vs_baseline", RECORDED),
+        ("thread_scaling", RECORDED),
+        ("cache_hits", RECORDED),
+        ("cache_misses", RECORDED),
+        ("cache_hit_rate", RECORDED),
+        ("bit_identical", Bound::True),
+    ],
+};
+
+/// The state counts and exactness the workload exists to show: a chain
+/// of at least 10^4 states certified on the sparse rung, occupancy
+/// lumps to units + 1 states, and a lump proof exact to 1e-9.
+const LARGE_GATES: Gates = Gates {
+    stages: &["large_sparse"],
+    claims: &[
+        ("sparse_states", Bound::AtLeast(10_000.0)),
+        ("sparse_rung", Bound::True),
+        ("sparse_verdict_ok", Bound::True),
+        ("sparse_residual", Bound::Below(1e-9)),
+        ("bit_identical", Bound::True),
+        ("block_units", RECORDED),
+        ("block_states", Bound::Equals(LARGE_BLOCK_STATES)),
+        ("block_availability", RECORDED),
+        ("lump_proof_units", RECORDED),
+        ("lump_full_states", RECORDED),
+        ("lump_states", Bound::Equals(LUMP_STATES)),
+        ("lump_max_delta", Bound::AtMost(1e-9)),
+    ],
+};
+
+/// Scale, shedding, typed deadlines and a clean drain are
+/// machine-independent; latencies are only required to be ordered.
+const SERVE_GATES: Gates = Gates {
+    stages: &["serve_solve", "serve_shed_burst", "serve_deadline_probe"],
+    claims: &[
+        ("solves", Bound::AtLeast(1000.0)),
+        ("requests", Bound::AtLeastClaim("solves")),
+        ("shed", Bound::AtLeast(1.0)),
+        ("shed_rate", Bound::Within(0.0, 1.0)),
+        ("p50_ms", RECORDED),
+        ("p90_ms", Bound::AtLeastClaim("p50_ms")),
+        ("p99_ms", Bound::AtLeastClaim("p90_ms")),
+        ("deadline_typed", Bound::True),
+        ("metrics_page_valid", Bound::True),
+        ("bit_identical", Bound::True),
+        ("drained_clean", Bound::True),
+        ("availability", Bound::Within(0.0, 1.0)),
+    ],
+};
+
+impl Workload {
+    /// The workload's gate table. The validator checks every claim
+    /// against this table, never against the bound a document records,
+    /// so an edited document cannot loosen its own gate.
+    fn gates(self) -> &'static Gates {
+        match self {
+            Workload::Suite => &SUITE_GATES,
+            Workload::Sweep => &SWEEP_GATES,
+            Workload::Large => &LARGE_GATES,
+            Workload::Serve => &SERVE_GATES,
+        }
+    }
+}
+
+/// Checks a document's `claims` against its workload's gate table:
+/// every stage the table requires is present, and every claim it names
+/// appears exactly once, records the table's bound and meets it. A
+/// claim the table does not name is rejected.
+fn check_claims(doc: &Value, stages: &[Value]) -> Result<(), String> {
+    let name = doc.get("workload").and_then(Value::as_str).ok_or("missing `workload`")?;
+    let gates = Workload::ALL
+        .into_iter()
+        .find(|w| w.name() == name)
+        .ok_or_else(|| format!("unknown workload `{name}`"))?
+        .gates();
+    for stage in gates.stages {
+        if !stages.iter().any(|s| s.get("name").and_then(Value::as_str) == Some(stage)) {
+            return Err(format!("{name} document has no `{stage}` stage"));
+        }
+    }
+    let claims = doc.get("claims").and_then(Value::as_array).ok_or("missing `claims` array")?;
+    let mut entries: Vec<(&str, &Value)> = Vec::with_capacity(claims.len());
+    for c in claims {
+        let claim = c.get("name").and_then(Value::as_str).ok_or("claim without `name`")?;
+        if gates.bound(claim).is_none() {
+            return Err(format!("claim `{claim}` is not in the {name} gate table"));
+        }
+        if entries.iter().any(|(n, _)| *n == claim) {
+            return Err(format!("claim `{claim}` appears more than once"));
+        }
+        entries.push((claim, c));
+    }
+    let entry = |claim: &str| entries.iter().find(|(n, _)| *n == claim).map(|&(_, c)| c);
+    let value_of = |claim: &str| entry(claim)?.get("value")?.as_f64();
+    for &(claim, bound) in gates.claims {
+        let entry = entry(claim).ok_or_else(|| format!("{name} document lacks claim `{claim}`"))?;
+        let gate = bound.describe();
+        let recorded = entry.get("bound").and_then(Value::as_str).unwrap_or("");
+        if recorded != gate {
+            return Err(format!(
+                "claim `{claim}` records bound `{recorded}`; its gate is `{gate}`"
+            ));
+        }
+        let value = entry.get("value").unwrap_or(&Value::Null);
+        if !bound.holds(value, value_of) {
+            return Err(format!(
+                "claim `{claim}` = {} breaks its gate `{gate}`",
+                value.to_string_compact()
+            ));
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
 // Document
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)] // one optional section per workload
 fn document(
     args: &BenchArgs,
-    stages: &[StageResult],
-    checks: &Checks,
-    scaling: Option<&SweepScaling>,
-    large: Option<&LargeScaling>,
-    serve: Option<&ServeLoad>,
+    run: &WorkloadRun,
     tree: &Arc<Mutex<SpanTreeAgg>>,
     metrics: &Arc<Mutex<Option<MetricsSummary>>>,
 ) -> Value {
@@ -1141,7 +1225,7 @@ fn document(
         ("pkg_version".to_string(), Value::from(env!("CARGO_PKG_VERSION"))),
     ]);
     let stages_json = Value::Arr(
-        stages
+        run.stages
             .iter()
             .map(|s| {
                 let mut fields = vec![
@@ -1182,19 +1266,29 @@ fn document(
                 )
             },
         );
-    let mut checks_fields = vec![
-        ("availability".to_string(), Value::Num(checks.availability)),
-        ("yearly_downtime_minutes".to_string(), Value::Num(checks.yearly_downtime_minutes)),
+    let mut checks = vec![
+        ("availability".to_string(), Value::Num(run.checks.availability)),
+        ("yearly_downtime_minutes".to_string(), Value::Num(run.checks.yearly_downtime_minutes)),
     ];
-    if scaling.is_none() && large.is_none() && serve.is_none() {
-        // The sweep-scaling, large-state-space, and service workloads
-        // run no simulator stage, so their documents omit the key
-        // rather than recording a null.
-        checks_fields.push(("sim_availability".to_string(), Value::Num(checks.sim_availability)));
+    if let Some(sim) = run.checks.sim_availability {
+        checks.push(("sim_availability".to_string(), Value::Num(sim)));
     }
-    let checks_json = Value::Obj(checks_fields);
-    let mut fields = vec![
+    let gates = args.workload.gates();
+    let claims = run
+        .claims
+        .iter()
+        .map(|(name, value)| {
+            let bound = gates.bound(name).map_or_else(|| "none".to_string(), Bound::describe);
+            Value::Obj(vec![
+                ("name".to_string(), Value::from(*name)),
+                ("value".to_string(), value.clone()),
+                ("bound".to_string(), Value::from(bound)),
+            ])
+        })
+        .collect();
+    Value::Obj(vec![
         ("schema".to_string(), Value::from(SCHEMA)),
+        ("workload".to_string(), Value::from(args.workload.name())),
         ("label".to_string(), Value::from(args.label.as_str())),
         ("profile".to_string(), Value::from(args.profile.name)),
         ("created_unix".to_string(), Value::from(created_unix)),
@@ -1204,18 +1298,9 @@ fn document(
         ("counters".to_string(), counters),
         ("gauges".to_string(), gauges),
         ("values".to_string(), values),
-        ("checks".to_string(), checks_json),
-    ];
-    if let Some(s) = scaling {
-        fields.push(("sweep_scaling".to_string(), sweep_scaling_json(s)));
-    }
-    if let Some(l) = large {
-        fields.push(("large_scaling".to_string(), large_scaling_json(l)));
-    }
-    if let Some(s) = serve {
-        fields.push(("serve_load".to_string(), serve_load_json(s)));
-    }
-    Value::Obj(fields)
+        ("checks".to_string(), Value::Obj(checks)),
+        ("claims".to_string(), Value::Arr(claims)),
+    ])
 }
 
 /// Structural validation shared by `--validate` and `--compare`.
@@ -1249,8 +1334,7 @@ fn check_document(doc: &Value) -> Result<(String, String, usize), String> {
                 return Err(format!("stage `{name}` has bad `{key}`: {v}"));
             }
         }
-        // Certificates arrived with the accuracy gate; timing-only
-        // stages and older baselines omit them, but when present they
+        // Timing-only stages carry no certificate, but when present it
         // must be well-formed.
         if let Some(cert) = stage.get("certificate") {
             let verdict = cert
@@ -1280,177 +1364,10 @@ fn check_document(doc: &Value) -> Result<(String, String, usize), String> {
     }
     doc.get("spans").and_then(Value::as_array).ok_or("missing `spans` array")?;
     doc.get("counters").and_then(Value::as_object).ok_or("missing `counters` object")?;
-    // `gauges` arrived with the labeled registry; absent in older
-    // baselines, but when present it must be an object.
-    if let Some(g) = doc.get("gauges") {
-        g.as_object().ok_or("`gauges` is not an object")?;
-    }
+    doc.get("gauges").and_then(Value::as_object).ok_or("missing `gauges` object")?;
     doc.get("values").and_then(Value::as_object).ok_or("missing `values` object")?;
     doc.get("checks").and_then(Value::as_object).ok_or("missing `checks` object")?;
-    if let Some(scaling) = doc.get("sweep_scaling") {
-        scaling.as_object().ok_or("`sweep_scaling` is not an object")?;
-        for key in [
-            "points",
-            "blocks",
-            "threads",
-            "baseline_us",
-            "engine_t1_us",
-            "engine_tn_us",
-            "speedup_vs_baseline",
-            "thread_scaling",
-            "cache_hits",
-            "cache_misses",
-            "cache_hit_rate",
-        ] {
-            let v = scaling
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("sweep_scaling missing numeric `{key}`"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("sweep_scaling has bad `{key}`: {v}"));
-            }
-        }
-        let identical = scaling
-            .get("bit_identical")
-            .and_then(Value::as_bool)
-            .ok_or("sweep_scaling missing `bit_identical`")?;
-        if !identical {
-            return Err("sweep_scaling records bit_identical = false".to_string());
-        }
-    }
-    if let Some(large) = doc.get("large_scaling") {
-        large.as_object().ok_or("`large_scaling` is not an object")?;
-        for key in [
-            "sparse_states",
-            "sparse_solve_us",
-            "block_units",
-            "block_states",
-            "block_solve_us",
-            "block_availability",
-            "lump_proof_units",
-            "lump_full_states",
-            "lump_states",
-            "lump_max_delta",
-        ] {
-            let v = large
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("large_scaling missing numeric `{key}`"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("large_scaling has bad `{key}`: {v}"));
-            }
-        }
-        // The structural claims the workload exists to make — state
-        // counts and exactness — are machine-independent, so they gate
-        // validation outright (timings never do).
-        let num = |key: &str| large.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
-        if num("sparse_states") < 10_000.0 {
-            return Err(format!(
-                "large_scaling sparse chain has only {} states; the workload exists to \
-                 demonstrate >= 10000",
-                num("sparse_states")
-            ));
-        }
-        if (num("block_states") - num("block_units") - 1.0).abs() > 0.5 {
-            return Err(
-                "large_scaling block did not lump to units + 1 occupancy states".to_string()
-            );
-        }
-        if (num("lump_states") - num("lump_proof_units") - 1.0).abs() > 0.5 {
-            return Err("large_scaling lump proof did not collapse to n + 1 states".to_string());
-        }
-        let delta = num("lump_max_delta");
-        if delta.is_nan() || delta > 1e-9 {
-            return Err(format!("large_scaling lump proof deviates by {delta} (> 1e-9)"));
-        }
-        let identical = large
-            .get("bit_identical")
-            .and_then(Value::as_bool)
-            .ok_or("large_scaling missing `bit_identical`")?;
-        if !identical {
-            return Err("large_scaling records bit_identical = false".to_string());
-        }
-        // The headline solve must have run on the sparse rung and
-        // certified at the residual target.
-        let sparse = stages
-            .iter()
-            .find(|s| s.get("name").and_then(Value::as_str) == Some("large_sparse"))
-            .ok_or("large_scaling document has no `large_sparse` stage")?;
-        let cert = sparse.get("certificate").ok_or("`large_sparse` stage has no certificate")?;
-        if cert.get("method").and_then(Value::as_str) != Some("sparse") {
-            return Err("`large_sparse` stage was not solved by the sparse rung".to_string());
-        }
-        if cert.get("verdict").and_then(Value::as_str) != Some("ok") {
-            return Err("`large_sparse` certificate verdict is not ok".to_string());
-        }
-        let residual = cert.get("residual").and_then(Value::as_f64).unwrap_or(f64::NAN);
-        if residual.is_nan() || residual >= 1e-9 {
-            return Err(format!("`large_sparse` certified residual {residual} is not < 1e-9"));
-        }
-    }
-    if let Some(serve) = doc.get("serve_load") {
-        serve.as_object().ok_or("`serve_load` is not an object")?;
-        for key in [
-            "solves",
-            "requests",
-            "shed",
-            "shed_rate",
-            "p50_ms",
-            "p90_ms",
-            "p99_ms",
-            "deadline_probe_ms",
-            "availability",
-        ] {
-            let v = serve
-                .get(key)
-                .and_then(Value::as_f64)
-                .ok_or_else(|| format!("serve_load missing numeric `{key}`"))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!("serve_load has bad `{key}`: {v}"));
-            }
-        }
-        for key in ["deadline_typed", "metrics_page_valid", "bit_identical", "drained_clean"] {
-            let flag = serve
-                .get(key)
-                .and_then(Value::as_bool)
-                .ok_or_else(|| format!("serve_load missing `{key}`"))?;
-            if !flag {
-                return Err(format!("serve_load records {key} = false"));
-            }
-        }
-        // The robustness claims the workload exists to make — scale,
-        // shedding, typed deadlines — are machine-independent, so they
-        // gate validation outright (latency numbers never do).
-        let num = |key: &str| serve.get(key).and_then(Value::as_f64).unwrap_or(f64::NAN);
-        if num("solves") < 1000.0 {
-            return Err(format!(
-                "serve_load ran only {} solves; the workload exists to demonstrate >= 1000",
-                num("solves")
-            ));
-        }
-        if num("requests") < num("solves") {
-            return Err("serve_load answered fewer requests than solves".to_string());
-        }
-        if num("shed") < 1.0 || num("shed_rate") <= 0.0 || num("shed_rate") > 1.0 {
-            return Err(format!(
-                "serve_load must shed under the saturating burst (shed {}, rate {})",
-                num("shed"),
-                num("shed_rate")
-            ));
-        }
-        if !(num("p50_ms") <= num("p90_ms") && num("p90_ms") <= num("p99_ms")) {
-            return Err("serve_load latency percentiles are not monotone".to_string());
-        }
-        let avail = num("availability");
-        if !(avail > 0.0 && avail <= 1.0) {
-            return Err(format!("serve_load availability {avail} is not in (0, 1]"));
-        }
-        for stage in ["serve_solve", "serve_shed_burst", "serve_deadline_probe"] {
-            if !stages.iter().any(|s| s.get("name").and_then(Value::as_str) == Some(stage)) {
-                return Err(format!("serve_load document has no `{stage}` stage"));
-            }
-        }
-    }
+    check_claims(doc, stages)?;
     Ok((label.to_string(), profile.to_string(), stages.len()))
 }
 
@@ -1744,14 +1661,19 @@ fn compare_json(outcome: &CompareOutcome, base_path: &str, args: &BenchArgs) -> 
 // Human report
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)] // one optional section per workload
+/// Claim value formatting: flags and counts verbatim, tiny values
+/// (residuals, lump deltas) scientific, the rest to six decimals.
+fn fmt_claim(value: &Value) -> String {
+    match value {
+        Value::Num(v) if *v != 0.0 && v.abs() < 1e-3 => format!("{v:.2e}"),
+        Value::Num(v) => format!("{v:.6}"),
+        other => other.to_string_compact(),
+    }
+}
+
 fn render_human(
     args: &BenchArgs,
-    stages: &[StageResult],
-    checks: &Checks,
-    scaling: Option<&SweepScaling>,
-    large: Option<&LargeScaling>,
-    serve: Option<&ServeLoad>,
+    run: &WorkloadRun,
     compare_report: Option<&str>,
     out_path: Option<&str>,
 ) -> String {
@@ -1760,99 +1682,47 @@ fn render_human(
     let _ = writeln!(out);
     let _ = writeln!(
         out,
-        "  {:<18} {:>4} {:>12} {:>12} {:>12}",
+        "  {:<20} {:>4} {:>12} {:>12} {:>12}",
         "stage", "runs", "min us", "mean us", "max us"
     );
-    for s in stages {
+    for s in &run.stages {
         let _ = writeln!(
             out,
-            "  {:<18} {:>4} {:>12.1} {:>12.1} {:>12.1}",
+            "  {:<20} {:>4} {:>12.1} {:>12.1} {:>12.1}",
             s.name, s.runs, s.min_us, s.mean_us, s.max_us
         );
     }
     let _ = writeln!(out);
-    if let Some(s) = scaling {
-        let _ = writeln!(
-            out,
-            "sweep scaling: {} points x {} blocks, engine at {} threads",
-            s.points, s.blocks, s.threads
-        );
-        let _ = writeln!(
-            out,
-            "  speedup vs sequential baseline: {:.2}x (thread scaling alone: {:.2}x)",
-            s.speedup_vs_baseline, s.thread_scaling
-        );
-        let _ = writeln!(
-            out,
-            "  cache: {} hits / {} misses ({:.1}% hit rate), results bit-identical: {}",
-            s.cache_hits,
-            s.cache_misses,
-            100.0 * s.cache_hit_rate,
-            s.bit_identical
-        );
-        let _ = writeln!(
-            out,
-            "checks: availability {:.9} ({:.1} min/y downtime)",
-            checks.availability, checks.yearly_downtime_minutes
-        );
-    } else if let Some(l) = large {
-        let _ = writeln!(
-            out,
-            "large state space: {} states on the sparse rung in {:.0} us, \
-             repeated solves bit-identical: {}",
-            l.sparse_states, l.sparse_solve_us, l.bit_identical
-        );
-        let _ = writeln!(
-            out,
-            "  {}-of-{} block: 2^{} product states lumped to {}, solved in {:.0} us",
-            workloads::LARGE_BLOCK_MIN,
-            l.block_units,
-            l.block_units,
-            l.block_states,
-            l.block_solve_us
-        );
-        let _ = writeln!(
-            out,
-            "  lump proof: {} -> {} states, max classwise delta {:.2e}",
-            l.lump_full_states, l.lump_states, l.lump_max_delta
-        );
-        let _ = writeln!(
-            out,
-            "checks: availability {:.9} ({:.1} min/y downtime)",
-            checks.availability, checks.yearly_downtime_minutes
-        );
-    } else if let Some(s) = serve {
-        let _ = writeln!(
-            out,
-            "serve load: {} solve(s) across {} request(s), latency p50 {:.1} / p90 {:.1} / \
-             p99 {:.1} ms",
-            s.solves, s.requests, s.p50_ms, s.p90_ms, s.p99_ms
-        );
-        let _ = writeln!(
-            out,
-            "  shed under burst: {} ({:.1}% of requests), responses bit-identical: {}",
-            s.shed,
-            100.0 * s.shed_rate,
-            s.bit_identical
-        );
-        let _ = writeln!(
-            out,
-            "  50 ms deadline probe: typed deadline error {} in {:.1} ms; metrics page valid: \
-             {}, drain clean: {}",
-            s.deadline_typed, s.deadline_probe_ms, s.metrics_page_valid, s.drained_clean
-        );
-        let _ = writeln!(
-            out,
-            "checks: availability {:.9} ({:.1} min/y downtime)",
-            checks.availability, checks.yearly_downtime_minutes
-        );
-    } else {
-        let _ = writeln!(
-            out,
-            "checks: availability {:.9} ({:.1} min/y downtime), simulated {:.6}",
-            checks.availability, checks.yearly_downtime_minutes, checks.sim_availability
-        );
+    if !run.claims.is_empty() {
+        let gates = args.workload.gates();
+        let value_of = |claim: &str| {
+            run.claims.iter().find(|(n, _)| *n == claim).and_then(|(_, v)| v.as_f64())
+        };
+        let _ = writeln!(out, "{} claims:", args.workload.name());
+        let _ = writeln!(out, "  {:<20} {:>14}  {:<16} status", "claim", "value", "gate");
+        for (name, value) in &run.claims {
+            let bound = gates.bound(name);
+            let held = bound.is_some_and(|b| b.holds(value, value_of));
+            let _ = writeln!(
+                out,
+                "  {:<20} {:>14}  {:<16} {}",
+                name,
+                fmt_claim(value),
+                bound.map_or_else(|| "none".to_string(), Bound::describe),
+                if held { "ok" } else { "BREAKS GATE" }
+            );
+        }
+        let _ = writeln!(out);
     }
+    let _ = write!(
+        out,
+        "checks: availability {:.9} ({:.1} min/y downtime)",
+        run.checks.availability, run.checks.yearly_downtime_minutes
+    );
+    if let Some(sim) = run.checks.sim_availability {
+        let _ = write!(out, ", simulated {sim:.6}");
+    }
+    let _ = writeln!(out);
     if let Some(report) = compare_report {
         let _ = writeln!(out);
         out.push_str(report);
@@ -1877,6 +1747,55 @@ mod tests {
         bench(args)
     }
 
+    /// The entry of the array `doc[list]` whose `name` is `name`.
+    fn named<'a>(doc: &'a Value, list: &str, name: &str) -> &'a Value {
+        doc.get(list)
+            .and_then(Value::as_array)
+            .and_then(|l| l.iter().find(|e| e.get("name").and_then(Value::as_str) == Some(name)))
+            .unwrap_or_else(|| panic!("no `{name}` in `{list}`"))
+    }
+
+    /// The value of the named claim in an emitted document.
+    fn claim<'a>(doc: &'a Value, name: &str) -> &'a Value {
+        named(doc, "claims", name).get("value").unwrap()
+    }
+
+    /// Divides the positive number at `path` inside every stage of the
+    /// document at `file` by `factor`, rewrites the file, and returns how
+    /// many numbers changed.
+    fn shrink_in_stages(file: &std::path::Path, path: &[&str], factor: f64) -> usize {
+        fn field<'a>(value: &'a mut Value, key: &str) -> Option<&'a mut Value> {
+            match value {
+                Value::Obj(fields) => fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+        let mut doc = json::parse(&std::fs::read_to_string(file).unwrap()).unwrap();
+        let mut changed = 0;
+        if let Some(Value::Arr(stages)) = field(&mut doc, "stages") {
+            for stage in stages {
+                let target = path.iter().try_fold(stage, |v, key| field(v, key));
+                if let Some(Value::Num(x)) = target.filter(|v| v.as_f64().is_some_and(|x| x > 0.0))
+                {
+                    *x /= factor;
+                    changed += 1;
+                }
+            }
+        }
+        std::fs::write(file, doc.to_string_pretty()).unwrap();
+        changed
+    }
+
+    fn stage_names(doc: &Value) -> Vec<&str> {
+        doc.get("stages")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|s| s.get("name").unwrap().as_str().unwrap())
+            .collect()
+    }
+
     #[test]
     fn quick_json_is_schema_valid_with_solver_diagnostics() {
         let _lock = obs_test_lock();
@@ -1887,14 +1806,7 @@ mod tests {
         assert_eq!(profile, "quick");
         assert!(n >= 10, "expected >= 10 stages, got {n}");
 
-        let names: Vec<&str> = doc
-            .get("stages")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| s.get("name").unwrap().as_str().unwrap())
-            .collect();
+        let names = stage_names(&doc);
         for stage in [
             "parse_dsl",
             "generate_type0",
@@ -1938,13 +1850,8 @@ mod tests {
 
         // Every solving stage carries an accuracy certificate; the
         // deterministic workload certifies clean.
-        let stages = doc.get("stages").unwrap().as_array().unwrap();
         for name in ["solve_gth", "solve_lu", "solve_power", "transient", "hierarchy", "sweep"] {
-            let stage = stages
-                .iter()
-                .find(|s| s.get("name").and_then(Value::as_str) == Some(name))
-                .unwrap();
-            let cert = stage
+            let cert = named(&doc, "stages", name)
                 .get("certificate")
                 .unwrap_or_else(|| panic!("stage {name} has no certificate"));
             assert_eq!(cert.get("verdict").and_then(Value::as_str), Some("ok"), "{name}");
@@ -1952,11 +1859,7 @@ mod tests {
             assert!(residual.is_finite() && residual >= 0.0, "{name}: {residual}");
         }
         // Timing-only stages don't.
-        let parse = stages
-            .iter()
-            .find(|s| s.get("name").and_then(Value::as_str) == Some("parse_dsl"))
-            .unwrap();
-        assert!(parse.get("certificate").is_none());
+        assert!(named(&doc, "stages", "parse_dsl").get("certificate").is_none());
 
         // Span aggregates are present and depth-sorted.
         let spans = doc.get("spans").unwrap().as_array().unwrap();
@@ -1972,113 +1875,63 @@ mod tests {
         assert!(avail > 0.99 && avail < 1.0, "{avail}");
     }
 
+    /// Runs one workload in quick mode and returns its validated
+    /// document after checking its label, workload and stage names.
+    fn quick_workload(flag: &str, stages: &[&str]) -> Value {
+        let doc = json::parse(&run_bench(&[flag, "--quick", "--json"]).unwrap()).unwrap();
+        let (label, profile, _) = check_document(&doc).unwrap();
+        assert_eq!((label.as_str(), profile.as_str()), (&flag[2..], "quick"));
+        assert_eq!(doc.get("workload").and_then(Value::as_str), Some(&flag[2..]));
+        assert_eq!(stage_names(&doc), stages);
+        // No simulator stage ran, so the checks omit its key.
+        assert!(doc.get("checks").unwrap().get("sim_availability").is_none());
+        doc
+    }
+
     #[test]
-    fn sweep_mode_emits_scaling_section() {
+    fn sweep_mode_emits_claims() {
         let _lock = obs_test_lock();
-        let out = run_bench(&["--sweep", "--quick", "--json"]).unwrap();
-        let doc = json::parse(&out).unwrap();
-        let (label, profile, n) = check_document(&doc).unwrap();
-        assert_eq!(label, "sweep");
-        assert_eq!(profile, "quick");
-        assert_eq!(n, 3);
-
-        let names: Vec<&str> = doc
-            .get("stages")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| s.get("name").unwrap().as_str().unwrap())
-            .collect();
-        assert_eq!(names, ["sweep_baseline_seq", "sweep_engine_t1", "sweep_engine_tn"]);
-
-        let scaling = doc.get("sweep_scaling").unwrap();
-        assert_eq!(scaling.get("points").unwrap().as_i64(), Some(20));
-        assert_eq!(scaling.get("blocks").unwrap().as_i64(), Some(10));
-        assert_eq!(scaling.get("bit_identical").unwrap().as_bool(), Some(true));
+        let stages = ["sweep_baseline_seq", "sweep_engine_t1", "sweep_engine_tn"];
+        let doc = quick_workload("--sweep", &stages);
+        assert_eq!(claim(&doc, "points").as_i64(), Some(20));
+        assert_eq!(claim(&doc, "blocks").as_i64(), Some(10));
         // The hit rate is a deterministic property of the workload (the
         // nine unswept blocks hit on 19 of 20 points), unlike the
         // timing ratios, which this test deliberately leaves alone.
-        let hit_rate = scaling.get("cache_hit_rate").unwrap().as_f64().unwrap();
+        let hit_rate = claim(&doc, "cache_hit_rate").as_f64().unwrap();
         assert!(hit_rate > 0.8, "hit rate {hit_rate}");
-        assert!(scaling.get("speedup_vs_baseline").unwrap().as_f64().unwrap() > 0.0);
-
-        // No simulator stage ran, so the checks omit its key.
-        assert!(doc.get("checks").unwrap().get("sim_availability").is_none());
         assert!(doc.get("checks").unwrap().get("availability").unwrap().as_f64().unwrap() > 0.9);
     }
 
     #[test]
-    fn large_mode_emits_scaling_section() {
+    fn large_mode_emits_claims() {
         let _lock = obs_test_lock();
-        let out = run_bench(&["--large", "--quick", "--json"]).unwrap();
-        let doc = json::parse(&out).unwrap();
-        let (label, profile, n) = check_document(&doc).unwrap();
-        assert_eq!(label, "large");
-        assert_eq!(profile, "quick");
-        assert_eq!(n, 4);
-
-        let names: Vec<&str> = doc
-            .get("stages")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| s.get("name").unwrap().as_str().unwrap())
-            .collect();
-        assert_eq!(
-            names,
-            ["large_sparse", "large_block_generate", "large_block_solve", "lump_proof"]
-        );
-
-        // check_document already gated the structural claims (sparse
-        // rung, ok verdict, residual < 1e-9, lump exactness); pin the
+        let stages = ["large_sparse", "large_block_generate", "large_block_solve", "lump_proof"];
+        let doc = quick_workload("--large", &stages);
+        // check_document already gated the structural claims; pin the
         // quick profile's sizes on top.
-        let scaling = doc.get("large_scaling").unwrap();
-        assert_eq!(scaling.get("sparse_states").unwrap().as_i64(), Some(10_000));
-        assert_eq!(scaling.get("block_units").unwrap().as_i64(), Some(1000));
-        assert_eq!(scaling.get("block_states").unwrap().as_i64(), Some(1001));
-        assert_eq!(scaling.get("lump_full_states").unwrap().as_i64(), Some(256));
-        assert_eq!(scaling.get("lump_states").unwrap().as_i64(), Some(9));
-
-        // No simulator stage ran, so the checks omit its key.
-        assert!(doc.get("checks").unwrap().get("sim_availability").is_none());
+        for (name, value) in [
+            ("sparse_states", 10_000),
+            ("block_units", 1000),
+            ("block_states", 1001),
+            ("lump_full_states", 256),
+            ("lump_states", 9),
+        ] {
+            assert_eq!(claim(&doc, name).as_i64(), Some(value), "{name}");
+        }
         assert!(doc.get("checks").unwrap().get("availability").unwrap().as_f64().unwrap() > 0.99);
     }
 
     #[test]
-    fn serve_mode_emits_serve_load_section() {
+    fn serve_mode_emits_claims() {
         let _lock = obs_test_lock();
-        let out = run_bench(&["--serve", "--quick", "--json"]).unwrap();
-        let doc = json::parse(&out).unwrap();
-        let (label, profile, n) = check_document(&doc).unwrap();
-        assert_eq!(label, "serve");
-        assert_eq!(profile, "quick");
-        assert_eq!(n, 4);
-
-        let names: Vec<&str> = doc
-            .get("stages")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|s| s.get("name").unwrap().as_str().unwrap())
-            .collect();
-        assert_eq!(
-            names,
-            ["serve_solve", "serve_shed_burst", "serve_deadline_probe", "serve_metrics_scrape"]
-        );
-
+        let stages =
+            ["serve_solve", "serve_shed_burst", "serve_deadline_probe", "serve_metrics_scrape"];
+        let doc = quick_workload("--serve", &stages);
         // check_document already gated the structural claims (>= 1000
         // solves, shed under burst, typed deadline, valid metrics page,
-        // bit-identical responses, clean drain); pin the workload shape.
-        let load = doc.get("serve_load").unwrap();
-        assert!(load.get("solves").unwrap().as_i64().unwrap() >= 1000);
-        assert_eq!(load.get("deadline_typed").unwrap().as_bool(), Some(true));
-        assert_eq!(load.get("drained_clean").unwrap().as_bool(), Some(true));
-
-        // No simulator stage ran, so the checks omit its key.
-        assert!(doc.get("checks").unwrap().get("sim_availability").is_none());
+        // bit-identical responses, clean drain).
+        assert!(claim(&doc, "solves").as_i64().unwrap() >= 1000);
         assert!(doc.get("checks").unwrap().get("availability").unwrap().as_f64().unwrap() > 0.9);
     }
 
@@ -2094,30 +1947,164 @@ mod tests {
         }
     }
 
+    /// A value that sits on the passing side of `bound`. Every claim a
+    /// document compares against (`solves`, `p50_ms`, `p90_ms`) passes
+    /// with a value in `[0, 1e6]`.
+    fn passing(bound: Bound) -> Value {
+        match bound {
+            Bound::AtLeast(x) | Bound::AtMost(x) | Bound::Equals(x) | Bound::Within(_, x) => {
+                Value::Num(x)
+            }
+            Bound::Below(x) => Value::Num(x / 2.0),
+            Bound::True => Value::from(true),
+            Bound::AtLeastClaim(_) => Value::Num(1e6),
+        }
+    }
+
+    /// A value that breaks `bound` in a document built from [`passing`]
+    /// values.
+    fn failing(bound: Bound) -> Value {
+        match bound {
+            Bound::AtLeast(x) => Value::Num(x - 1.0),
+            Bound::AtMost(x) => Value::Num(x * 2.0 + 1.0),
+            Bound::Below(x) | Bound::Within(x, _) => Value::Num(x),
+            Bound::Equals(x) => Value::Num(x + 1.0),
+            Bound::True => Value::from(false),
+            Bound::AtLeastClaim(_) => Value::Num(-1.0),
+        }
+    }
+
+    /// A minimal v2 document for `workload` with the given stages and
+    /// `(name, value, bound)` claims.
+    fn gated_doc(workload: Workload, stages: &[&str], claims: &[(&str, Value, String)]) -> Value {
+        let stages: Vec<String> = stages
+            .iter()
+            .map(|s| format!(r#"{{"name":"{s}","runs":1,"min_us":1,"mean_us":1,"max_us":1}}"#))
+            .collect();
+        let claims: Vec<String> = claims
+            .iter()
+            .map(|(name, value, bound)| {
+                let value = value.to_string_compact();
+                format!(r#"{{"name":"{name}","value":{value},"bound":"{bound}"}}"#)
+            })
+            .collect();
+        json::parse(&format!(
+            r#"{{"schema":"{SCHEMA}","workload":"{}","label":"t","profile":"quick",
+                "created_unix":0,"env":{{"os":"linux","arch":"x86_64","threads":1,
+                "debug_assertions":false,"pkg_version":"0"}},"stages":[{}],"spans":[],
+                "counters":{{}},"gauges":{{}},"values":{{}},"checks":{{}},"claims":[{}]}}"#,
+            workload.name(),
+            stages.join(","),
+            claims.join(",")
+        ))
+        .unwrap()
+    }
+
+    type Claims = Vec<(&'static str, Value, String)>;
+
+    /// The stages and claims of a document that meets every gate of
+    /// `workload`, each claim on the passing side of its bound.
+    fn honest(workload: Workload) -> (Vec<&'static str>, Claims) {
+        let gates = workload.gates();
+        let stages = ["timing"].into_iter().chain(gates.stages.iter().copied()).collect();
+        let claims =
+            gates.claims.iter().map(|&(n, bound)| (n, passing(bound), bound.describe())).collect();
+        (stages, claims)
+    }
+
+    /// Each gate the validator enforced before claims existed still
+    /// rejects a document that breaks it.
     #[test]
-    fn corrupt_large_scaling_fails_validation() {
-        // A baseline whose lump proof drifted past 1e-9 must be
-        // rejected outright, not compared.
-        let doc = json::parse(
-            r#"{"schema":"rascad-bench/v1","label":"large","profile":"quick",
-                "created_unix":0,
-                "env":{"os":"linux","arch":"x86_64","threads":1,
-                       "debug_assertions":false,"pkg_version":"0"},
-                "stages":[{"name":"large_sparse","runs":1,"min_us":1.0,
-                           "mean_us":1.0,"max_us":1.0,
-                           "certificate":{"method":"sparse","verdict":"ok",
-                                          "residual":1e-12,"prob_mass_error":0.0}}],
-                "spans":[],"counters":{},"values":{},"checks":{},
-                "large_scaling":{"sparse_states":100000,"sparse_solve_us":1.0,
-                                 "bit_identical":true,"block_units":1000,
-                                 "block_states":1001,"block_solve_us":1.0,
-                                 "block_availability":0.999,"lump_proof_units":8,
-                                 "lump_full_states":256,"lump_states":9,
-                                 "lump_max_delta":1e-6}}"#,
-        )
-        .unwrap();
-        let err = check_document(&doc).unwrap_err();
-        assert!(err.contains("lump proof deviates"), "{err}");
+    fn kept_gates_reject_the_documents_that_break_them() {
+        use Workload::{Large, Serve, Sweep};
+        let (no, num) = (|| Value::from(false), Value::Num);
+        let cases = [
+            (Large, vec![("sparse_states", num(9_999.0))]),
+            (Large, vec![("sparse_rung", no())]),
+            (Large, vec![("sparse_verdict_ok", no())]),
+            (Large, vec![("sparse_residual", num(1e-9))]),
+            (Large, vec![("block_states", num(1000.0))]),
+            (Large, vec![("lump_states", num(8.0))]),
+            (Large, vec![("lump_max_delta", num(2e-9))]),
+            (Sweep, vec![("bit_identical", no())]),
+            (Large, vec![("bit_identical", no())]),
+            (Serve, vec![("bit_identical", no())]),
+            (Serve, vec![("solves", num(999.0))]),
+            (Serve, vec![("requests", num(999.0))]),
+            (Serve, vec![("shed", num(0.0))]),
+            (Serve, vec![("shed_rate", num(0.0))]),
+            (Serve, vec![("shed_rate", num(1.5))]),
+            (Serve, vec![("p50_ms", num(7.0)), ("p90_ms", num(6.0))]),
+            (Serve, vec![("p90_ms", num(6.0)), ("p99_ms", num(5.0))]),
+            (Serve, vec![("availability", num(0.0))]),
+            (Serve, vec![("availability", num(1.5))]),
+            (Serve, vec![("deadline_typed", no())]),
+            (Serve, vec![("metrics_page_valid", no())]),
+            (Serve, vec![("drained_clean", no())]),
+        ];
+        for (workload, edits) in cases {
+            let (stages, mut claims) = honest(workload);
+            for (name, value) in &edits {
+                claims.iter_mut().find(|c| c.0 == *name).unwrap().1 = value.clone();
+            }
+            let doc = gated_doc(workload, &stages, &claims);
+            assert!(check_document(&doc).is_err(), "{workload:?} accepted {edits:?}");
+        }
+    }
+
+    #[test]
+    fn corrupt_claims_fail_validation() {
+        for workload in [Workload::Sweep, Workload::Large, Workload::Serve] {
+            let gates = workload.gates();
+            let (stages, honest) = honest(workload);
+            check_document(&gated_doc(workload, &stages, &honest)).unwrap();
+            let rejects = |stages: &[&str], claims: &[(&str, Value, String)], what: &str| {
+                let err = check_document(&gated_doc(workload, stages, claims))
+                    .expect_err(&format!("{workload:?}: {what} passed validation"));
+                assert!(err.contains(what), "{workload:?} {what}: {err}");
+            };
+
+            for (i, &(name, bound)) in gates.claims.iter().enumerate() {
+                // A value that breaks the gate, under the table's bound
+                // and under a loosened one.
+                let mut claims = honest.clone();
+                claims[i].1 = failing(bound);
+                rejects(&stages, &claims, name);
+                claims[i].2 = "none".to_string();
+                rejects(&stages, &claims, name);
+                // A loosened bound over an honest value.
+                let mut claims = honest.clone();
+                claims[i].2 = Bound::AtLeast(-1e300).describe();
+                rejects(&stages, &claims, name);
+                // The claim left out.
+                let mut claims = honest.clone();
+                claims.remove(i);
+                rejects(&stages, &claims, name);
+            }
+            // A claim the table does not name, and a repeated claim.
+            let mut claims = honest.clone();
+            claims.push(("bonus", Value::from(true), "== true".to_string()));
+            rejects(&stages, &claims, "bonus");
+            let mut claims = honest.clone();
+            claims.push(honest[0].clone());
+            rejects(&stages, &claims, honest[0].0);
+            // A required stage left out.
+            for stage in gates.stages {
+                let fewer: Vec<&str> = stages.iter().copied().filter(|s| s != stage).collect();
+                rejects(&fewer, &honest, stage);
+            }
+
+            // The same verdict through `--validate`: a usage error.
+            let path = tmp(&format!("rascad_bench_broken_{}.json", workload.name()));
+            let mut claims = honest.clone();
+            claims[0].1 = failing(gates.claims[0].1);
+            std::fs::write(&path, gated_doc(workload, &stages, &claims).to_string_pretty())
+                .unwrap();
+            let err = run_bench(&["--validate", path.to_str().unwrap()]).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{workload:?}: {err}");
+            assert!(err.to_string().contains("breaks its gate"), "{err}");
+            std::fs::remove_file(&path).ok();
+        }
     }
 
     #[test]
@@ -2154,28 +2141,7 @@ mod tests {
 
         // Doctor the baseline: shrink every stage minimum 1000x, which
         // makes the (unchanged) current run look like a huge slowdown.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut doc = json::parse(&text).unwrap();
-        if let Value::Obj(fields) = &mut doc {
-            for (key, value) in fields.iter_mut() {
-                if key == "stages" {
-                    if let Value::Arr(stages) = value {
-                        for stage in stages {
-                            if let Value::Obj(stage_fields) = stage {
-                                for (k, v) in stage_fields.iter_mut() {
-                                    if k == "min_us" {
-                                        if let Value::Num(us) = v {
-                                            *us /= 1000.0;
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        std::fs::write(&path, doc.to_string_pretty()).unwrap();
+        assert!(shrink_in_stages(&path, &["min_us"], 1000.0) > 0);
 
         let err = run_bench(&["--quick", "--compare", path.to_str().unwrap()]).unwrap_err();
         assert_eq!(err.exit_code(), 6, "{err:?}");
@@ -2205,43 +2171,14 @@ mod tests {
     #[test]
     fn compare_statuses_cover_ok_warn_fail_new_missing() {
         let mk = |stages: &[(&str, f64)], counters: &[(&str, f64)]| {
-            Value::Obj(vec![
-                (
-                    "stages".to_string(),
-                    Value::Arr(
-                        stages
-                            .iter()
-                            .map(|(n, us)| {
-                                Value::Obj(vec![
-                                    ("name".to_string(), Value::from(*n)),
-                                    ("min_us".to_string(), Value::Num(*us)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "counters".to_string(),
-                    Value::Obj(
-                        counters.iter().map(|(n, v)| ((*n).to_string(), Value::Num(*v))).collect(),
-                    ),
-                ),
-            ])
+            let stages: Vec<String> =
+                stages.iter().map(|(n, us)| format!(r#"{{"name":"{n}","min_us":{us}}}"#)).collect();
+            let counters: Vec<String> =
+                counters.iter().map(|(n, v)| format!(r#""{n}":{v}"#)).collect();
+            let (stages, counters) = (stages.join(","), counters.join(","));
+            json::parse(&format!(r#"{{"stages":[{stages}],"counters":{{{counters}}}}}"#)).unwrap()
         };
-        let args = BenchArgs {
-            profile: BenchProfile::quick(),
-            label: "t".to_string(),
-            out: None,
-            json: false,
-            compare: None,
-            warn_ratio: 1.25,
-            fail_ratio: 2.0,
-            floor_us: 50.0,
-            residual_floor: DEFAULT_RESIDUAL_FLOOR,
-            sweep: false,
-            large: false,
-            serve: false,
-        };
+        let args = parse_args(&[]).unwrap();
         let baseline = mk(
             &[
                 ("steady", 1000.0),
@@ -2280,47 +2217,20 @@ mod tests {
     #[test]
     fn accuracy_gate_flags_residual_growth_and_verdict_regression() {
         let mk = |stages: &[(&str, f64, &str)]| {
-            Value::Obj(vec![
-                (
-                    "stages".to_string(),
-                    Value::Arr(
-                        stages
-                            .iter()
-                            .map(|(n, res, verdict)| {
-                                Value::Obj(vec![
-                                    ("name".to_string(), Value::from(*n)),
-                                    ("min_us".to_string(), Value::Num(1000.0)),
-                                    (
-                                        "certificate".to_string(),
-                                        Value::Obj(vec![
-                                            ("method".to_string(), Value::from(*n)),
-                                            ("verdict".to_string(), Value::from(*verdict)),
-                                            ("residual".to_string(), Value::Num(*res)),
-                                            ("prob_mass_error".to_string(), Value::Num(0.0)),
-                                        ]),
-                                    ),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("counters".to_string(), Value::Obj(Vec::new())),
-            ])
+            let stages: Vec<String> = stages
+                .iter()
+                .map(|(n, res, verdict)| {
+                    // A NaN residual writes as `null`, as in a real document.
+                    let res = Value::Num(*res).to_string_compact();
+                    format!(
+                        r#"{{"name":"{n}","min_us":1000,"certificate":{{"method":"{n}",
+                            "verdict":"{verdict}","residual":{res},"prob_mass_error":0}}}}"#
+                    )
+                })
+                .collect();
+            json::parse(&format!(r#"{{"stages":[{}],"counters":{{}}}}"#, stages.join(","))).unwrap()
         };
-        let args = BenchArgs {
-            profile: BenchProfile::quick(),
-            label: "t".to_string(),
-            out: None,
-            json: false,
-            compare: None,
-            warn_ratio: 1.25,
-            fail_ratio: 2.0,
-            floor_us: 50.0,
-            residual_floor: DEFAULT_RESIDUAL_FLOOR,
-            sweep: false,
-            large: false,
-            serve: false,
-        };
+        let args = parse_args(&[]).unwrap();
         let baseline = mk(&[
             ("blown", 1e-12, "ok"),
             ("drifted", 1e-10, "ok"),
@@ -2358,38 +2268,8 @@ mod tests {
         // Doctor the baseline: shrink every certified residual a
         // million-fold, which makes the (numerically unchanged) current
         // run look like a huge loss of accuracy.
-        let text = std::fs::read_to_string(&path).unwrap();
-        let mut doc = json::parse(&text).unwrap();
-        let mut doctored = 0;
-        if let Value::Obj(fields) = &mut doc {
-            for (key, value) in fields.iter_mut() {
-                let Value::Arr(stages) = value else { continue };
-                if key != "stages" {
-                    continue;
-                }
-                for stage in stages {
-                    let Value::Obj(stage_fields) = stage else { continue };
-                    for (k, v) in stage_fields.iter_mut() {
-                        let Value::Obj(cert_fields) = v else { continue };
-                        if k != "certificate" {
-                            continue;
-                        }
-                        for (ck, cv) in cert_fields.iter_mut() {
-                            if ck == "residual" {
-                                if let Value::Num(r) = cv {
-                                    if *r > 0.0 {
-                                        *r /= 1e6;
-                                        doctored += 1;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let doctored = shrink_in_stages(&path, &["certificate", "residual"], 1e6);
         assert!(doctored > 0, "workload must certify at least one nonzero residual");
-        std::fs::write(&path, doc.to_string_pretty()).unwrap();
 
         // The same run compared against the doctored baseline: residuals
         // are bit-identical run to run, so the 1e6 ratio is real signal.

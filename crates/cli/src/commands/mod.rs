@@ -199,7 +199,8 @@ COMMANDS:
                                         above the residual floor, default 1e-13); --sweep runs
                                         the sweep-scaling workload instead (solve engine vs
                                         the sequential baseline, cache stats, bit-identity)
-    bench --validate <file.json>        check that a BENCH document parses and is schema-valid
+    bench --validate <file.json>        check that a BENCH document parses, is schema-valid,
+                                        and meets every claim gate of its workload
     bench --serve [--validate] [--out F] [--label L]
                                         load-test an in-process daemon (>=1k solves, bursts,
                                         deadline probe) and write BENCH_serve.json with the

@@ -77,10 +77,10 @@ fn panic_is_isolated_typed_and_rolls_up_best_effort() {
         .filter(|b| b.level == 1 && b.path != "Sys/B")
         .map(|b| b.combined_availability)
         .product();
-    assert_eq!(sol.system.availability, expected);
+    assert_eq!(sol.system.availability.to_bits(), expected.to_bits());
     let (lo, hi) = sol.availability_bounds();
-    assert_eq!(lo, 0.0);
-    assert_eq!(hi, sol.system.availability);
+    assert_eq!(lo.to_bits(), 0.0f64.to_bits());
+    assert_eq!(hi.to_bits(), sol.system.availability.to_bits());
 
     // The injection actually fired (and only where planned).
     let fired = rascad_fault::fired();

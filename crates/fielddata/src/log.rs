@@ -2,7 +2,6 @@
 
 /// One recorded outage.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Outage {
     /// Start of the outage, hours since observation start.
     pub start_hours: f64,
@@ -12,7 +11,6 @@ pub struct Outage {
 
 /// An outage log for one system over an observation window.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OutageLog {
     observation_hours: f64,
     outages: Vec<Outage>,
@@ -140,15 +138,5 @@ mod tests {
     fn beyond_window_rejected() {
         let mut log = OutageLog::new(100.0);
         log.record(99.0, 5.0);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let mut log = OutageLog::new(100.0);
-        log.record(1.0, 0.5);
-        let json = serde_json::to_string(&log).unwrap();
-        let back: OutageLog = serde_json::from_str(&json).unwrap();
-        assert_eq!(log, back);
     }
 }

@@ -200,7 +200,6 @@ impl SolveOptions {
 /// cross-validate results — mirroring the paper's validation of RAScad
 /// against SHARPE and MEADEP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum SteadyStateMethod {
     /// Grassmann–Taksar–Heyman elimination. Subtraction-free, hence
     /// numerically robust even for stiff availability models where rates
@@ -231,7 +230,6 @@ pub enum SteadyStateMethod {
 /// formulation the paper cites (Goyal/Lavenberg/Trivedi; Reibman/Smith/
 /// Trivedi).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct State {
     /// Human-readable label, e.g. `"PF1"` or `"ServiceError"`.
     pub label: String,
@@ -241,7 +239,6 @@ pub struct State {
 
 /// A transition with its rate (per hour in RAScad models).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Transition {
     /// Source state.
     pub from: StateId,
@@ -354,7 +351,6 @@ impl CtmcBuilder {
 
 /// A validated continuous-time Markov chain with reward rates.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ctmc {
     states: Vec<State>,
     transitions: Vec<Transition>,
@@ -1048,14 +1044,5 @@ mod tests {
                 c.steady_state_with(method, &SolveOptions::default()).unwrap(),
             );
         }
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let c = two_state(0.1, 0.9);
-        let json = serde_json::to_string(&c).unwrap();
-        let back: Ctmc = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

@@ -8,7 +8,6 @@ use crate::error::MarkovError;
 
 /// A dense, row-major `rows x cols` matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DenseMatrix {
     rows: usize,
     cols: usize,

@@ -13,7 +13,6 @@ use crate::gth;
 
 /// A validated discrete-time Markov chain.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Dtmc {
     labels: Vec<String>,
     /// Row-stochastic transition matrix.
@@ -339,14 +338,5 @@ mod tests {
     fn no_absorbing_states_rejected() {
         let c = weather();
         assert!(matches!(c.expected_steps_to_absorption(), Err(MarkovError::MissingStates { .. })));
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip() {
-        let c = weather();
-        let json = serde_json::to_string(&c).unwrap();
-        let back: Dtmc = serde_json::from_str(&json).unwrap();
-        assert_eq!(c, back);
     }
 }

@@ -14,7 +14,6 @@ use crate::gth;
 
 /// Sojourn-time distribution of a semi-Markov state.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum SojournDistribution {
     /// Exponential with the given rate (mean `1/rate`).

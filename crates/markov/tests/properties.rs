@@ -1,186 +1,96 @@
-//! Property-based tests; compiled only with the `proptest-tests`
-//! feature, which requires the real `proptest` crate (the offline
-//! build vendors an empty placeholder — see vendor/README.md).
-#![cfg(feature = "proptest-tests")]
+//! Seeded property loops for the Markov substrate: each property runs
+//! on [`CASES`] random irreducible chains drawn from the vendored
+//! `rand`, and a failure names its case.
 
-//! Property-based tests for the Markov substrate.
-
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rascad_markov::transient::{self, TransientOptions};
 use rascad_markov::{Ctmc, CtmcBuilder, SteadyStateMethod};
 
-/// Builds a random irreducible chain: a ring (guaranteeing
-/// irreducibility) plus arbitrary extra edges.
-fn arb_chain() -> impl Strategy<Value = Ctmc> {
-    (2usize..8).prop_flat_map(|n| {
-        let ring = proptest::collection::vec(1e-3..10.0f64, n);
-        let extra = proptest::collection::vec((0..n, 0..n, 1e-3..10.0f64), 0..12);
-        let rewards = proptest::collection::vec(prop_oneof![Just(0.0), Just(1.0)], n);
-        (Just(n), ring, extra, rewards).prop_map(|(n, ring, extra, rewards)| {
-            let mut b = CtmcBuilder::new();
-            for (i, r) in rewards.iter().enumerate() {
-                b.add_state(format!("s{i}"), *r);
-            }
-            for (i, &rate) in ring.iter().enumerate() {
-                b.add_transition(i, (i + 1) % n, rate);
-            }
-            for &(f, t, rate) in &extra {
-                if f != t {
-                    b.add_transition(f, t, rate);
-                }
-            }
-            b.build().expect("constructed chain is valid")
-        })
-    })
+const CASES: usize = 256;
+
+/// A random irreducible chain of 2–7 states: a ring (guaranteeing
+/// irreducibility) plus up to 11 extra edges, rates in `[1e-3, 10)`,
+/// 0/1 rewards.
+fn random_chain(rng: &mut StdRng) -> Ctmc {
+    let n: usize = rng.gen_range(2..8);
+    let mut b = CtmcBuilder::new();
+    for i in 0..n {
+        b.add_state(format!("s{i}"), if rng.gen_bool(0.5) { 1.0 } else { 0.0 });
+    }
+    for i in 0..n {
+        b.add_transition(i, (i + 1) % n, rng.gen_range(1e-3..10.0));
+    }
+    for _ in 0..rng.gen_range(0..12usize) {
+        let (from, to, rate) =
+            (rng.gen_range(0..n), rng.gen_range(0..n), rng.gen_range(1e-3..10.0));
+        if from != to {
+            b.add_transition(from, to, rate);
+        }
+    }
+    b.build().expect("constructed chain is valid")
 }
 
-proptest! {
-    /// The stationary vector is a distribution and satisfies pi*Q = 0.
-    #[test]
-    fn stationary_solves_balance_equations(chain in arb_chain()) {
+/// Asserts two stationary vectors agree entrywise to 1e-8.
+fn assert_close(case: usize, a: &[f64], b: &[f64]) {
+    for (x, y) in a.iter().zip(b) {
+        assert!((x - y).abs() < 1e-8, "case {case}: {x} vs {y}");
+    }
+}
+
+/// The stationary vector is a distribution and satisfies `pi Q = 0`.
+#[test]
+fn stationary_solves_balance_equations() {
+    let mut rng = StdRng::seed_from_u64(0x6a1a);
+    for case in 0..CASES {
+        let chain = random_chain(&mut rng);
         let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
         let sum: f64 = pi.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-10);
-        for &p in &pi {
-            prop_assert!((-1e-12..=1.0 + 1e-12).contains(&p));
-        }
-        let residual = chain.generator().vec_mul(&pi);
-        for r in residual {
-            prop_assert!(r.abs() < 1e-9, "residual {r}");
+        assert!((sum - 1.0).abs() < 1e-10, "case {case}: mass {sum}");
+        assert!(pi.iter().all(|p| (-1e-12..=1.0 + 1e-12).contains(p)), "case {case}: {pi:?}");
+        for r in chain.generator().vec_mul(&pi) {
+            assert!(r.abs() < 1e-9, "case {case}: residual {r}");
         }
     }
+}
 
-    /// GTH and LU agree to high precision.
-    #[test]
-    fn gth_and_lu_agree(chain in arb_chain()) {
-        let g = chain.steady_state(SteadyStateMethod::Gth).unwrap();
-        let l = chain.steady_state(SteadyStateMethod::Lu).unwrap();
-        for (a, b) in g.iter().zip(&l) {
-            prop_assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-        }
+/// The GTH and LU stationary solvers agree to high precision.
+#[test]
+fn gth_and_lu_agree() {
+    let mut rng = StdRng::seed_from_u64(0x6a1b);
+    for case in 0..CASES {
+        let chain = random_chain(&mut rng);
+        let gth = chain.steady_state(SteadyStateMethod::Gth).unwrap();
+        assert_close(case, &gth, &chain.steady_state(SteadyStateMethod::Lu).unwrap());
     }
+}
 
-    /// Transient probabilities stay a distribution and converge to the
-    /// stationary distribution for large t.
-    #[test]
-    fn transient_is_distribution_and_converges(chain in arb_chain(), t in 0.0..20.0f64) {
-        let n = chain.len();
-        let mut p0 = vec![0.0; n];
+/// Power iteration agrees with GTH on every random chain.
+#[test]
+fn power_iteration_agrees_with_gth() {
+    let mut rng = StdRng::seed_from_u64(0x6a1c);
+    for case in 0..CASES {
+        let chain = random_chain(&mut rng);
+        let gth = chain.steady_state(SteadyStateMethod::Gth).unwrap();
+        assert_close(case, &gth, &chain.steady_state(SteadyStateMethod::Power).unwrap());
+    }
+}
+
+/// Transient probabilities at any `t` in `[0, 20)` form a distribution
+/// with point and interval rewards in `[0, 1]`.
+#[test]
+fn transient_is_distribution() {
+    let mut rng = StdRng::seed_from_u64(0x6a1d);
+    for case in 0..CASES {
+        let chain = random_chain(&mut rng);
+        let t = rng.gen_range(0.0..20.0);
+        let mut p0 = vec![0.0; chain.len()];
         p0[0] = 1.0;
         let sol = transient::solve(&chain, &p0, t, TransientOptions::default()).unwrap();
         let sum: f64 = sol.probabilities.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-9);
-        prop_assert!(sol.point_reward >= -1e-12 && sol.point_reward <= 1.0 + 1e-12);
-        prop_assert!(sol.interval_reward >= -1e-12 && sol.interval_reward <= 1.0 + 1e-12);
-
-        // Long-run convergence.
-        let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
-        let far = transient::solve(&chain, &p0, 5000.0, TransientOptions::default()).unwrap();
-        for (a, b) in far.probabilities.iter().zip(&pi) {
-            prop_assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+        assert!((sum - 1.0).abs() < 1e-9, "case {case}: mass {sum} at t = {t}");
+        for r in [sol.point_reward, sol.interval_reward] {
+            assert!((-1e-12..=1.0 + 1e-12).contains(&r), "case {case}: reward {r} at t = {t}");
         }
-    }
-
-    /// Availability equals 1 minus the stationary mass of down states.
-    #[test]
-    fn availability_complement(chain in arb_chain()) {
-        let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
-        let a = chain.expected_reward(&pi);
-        let down: f64 = chain.down_states().iter().map(|&s| pi[s]).sum();
-        prop_assert!((a + down - 1.0).abs() < 1e-10);
-    }
-
-    /// Failure flow equals recovery flow in steady state.
-    #[test]
-    fn flows_balance(chain in arb_chain()) {
-        let pi = chain.steady_state(SteadyStateMethod::Gth).unwrap();
-        let f = chain.failure_rate(&pi);
-        let r = chain.recovery_rate(&pi);
-        prop_assert!((f - r).abs() < 1e-9 * (1.0 + f.abs()), "{f} vs {r}");
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Uniformized DTMC rows sum to one.
-    #[test]
-    fn uniformized_rows_sum_to_one(chain in arb_chain()) {
-        let uni = transient::uniformize(&chain);
-        for s in uni.dtmc.row_sums() {
-            prop_assert!((s - 1.0).abs() < 1e-12);
-        }
-    }
-
-    /// Power iteration agrees with GTH on every random chain.
-    #[test]
-    fn power_iteration_agrees_with_gth(chain in arb_chain()) {
-        let gth = chain.steady_state(SteadyStateMethod::Gth).unwrap();
-        let pow = chain.steady_state(SteadyStateMethod::Power).unwrap();
-        for (a, b) in gth.iter().zip(&pow) {
-            prop_assert!((a - b).abs() < 1e-8, "{a} vs {b}");
-        }
-    }
-
-    /// DTMC stationary vectors are distributions satisfying pi P = pi.
-    #[test]
-    fn dtmc_stationary_is_fixed_point(
-        rows in proptest::collection::vec(
-            proptest::collection::vec(0.05..1.0f64, 3),
-            3,
-        )
-    ) {
-        use rascad_markov::DtmcBuilder;
-        let mut b = DtmcBuilder::new();
-        for i in 0..3 {
-            b.add_state(format!("s{i}"));
-        }
-        for (i, row) in rows.iter().enumerate() {
-            let z: f64 = row.iter().sum();
-            for (j, &w) in row.iter().enumerate() {
-                b.add_transition(i, j, w / z);
-            }
-        }
-        let c = b.build().unwrap();
-        let pi = c.stationary().unwrap();
-        let sum: f64 = pi.iter().sum();
-        prop_assert!((sum - 1.0).abs() < 1e-10);
-        // pi P = pi.
-        for j in 0..3 {
-            let flow: f64 = (0..3).map(|i| pi[i] * c.probability(i, j)).sum();
-            prop_assert!((flow - pi[j]).abs() < 1e-9);
-        }
-    }
-
-    /// Erlang phase expansion of a random semi-Markov process preserves
-    /// steady-state availability exactly.
-    #[test]
-    fn erlang_expansion_preserves_availability(
-        rates in proptest::collection::vec(0.01..10.0f64, 2..5),
-        dets in proptest::collection::vec(0.1..10.0f64, 2..5),
-        phases in 1u32..12,
-    ) {
-        use rascad_markov::{SemiMarkovBuilder, SojournDistribution};
-        let n = rates.len().min(dets.len());
-        prop_assume!(n >= 2);
-        let mut b = SemiMarkovBuilder::new();
-        for i in 0..n {
-            // Alternate exponential and deterministic sojourns.
-            let sojourn = if i % 2 == 0 {
-                SojournDistribution::Exponential { rate: rates[i] }
-            } else {
-                SojournDistribution::Deterministic { value: dets[i] }
-            };
-            b.add_state(format!("s{i}"), (i % 2) as f64, sojourn);
-        }
-        for i in 0..n {
-            b.add_jump(i, (i + 1) % n, 1.0);
-        }
-        let smp = b.build().unwrap();
-        let expect = smp.availability().unwrap();
-        let ctmc = smp.to_ctmc_erlang(phases).unwrap();
-        let pi = ctmc.steady_state(SteadyStateMethod::Gth).unwrap();
-        let got = ctmc.expected_reward(&pi);
-        prop_assert!((got - expect).abs() < 1e-10, "{got} vs {expect}");
     }
 }

@@ -10,7 +10,6 @@ use crate::error::RbdError;
 
 /// A component lifetime distribution.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub enum Lifetime {
     /// Exponential lifetime with the given failure rate.

@@ -1,198 +1,80 @@
-//! Property-based tests; compiled only with the `proptest-tests`
-//! feature, which requires the real `proptest` crate (the offline
-//! build vendors an empty placeholder — see vendor/README.md).
-#![cfg(feature = "proptest-tests")]
+//! Seeded property loops for the RBD substrate: each property runs on
+//! [`CASES`] random diagrams drawn from the vendored `rand`, and a
+//! failure names its case.
 
-//! Property-based tests for the RBD substrate.
-
-use proptest::prelude::*;
-use rascad_rbd::importance::fussell_vesely;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rascad_rbd::paths::{esary_proschan_bounds, minimal_cut_sets, minimal_path_sets};
 use rascad_rbd::structure;
-use rascad_rbd::{ComponentTable, Network, Rbd};
+use rascad_rbd::{ComponentTable, Rbd};
 
-/// Random RBD tree over `n` distinct components (each used exactly once,
-/// so independent evaluation is exact).
-fn arb_rbd(depth: u32) -> impl Strategy<Value = (ComponentTable, Rbd)> {
-    proptest::collection::vec(0.01..0.999f64, 2..7).prop_flat_map(move |avails| {
-        let n = avails.len();
-        let mut table = ComponentTable::new();
-        for (i, a) in avails.iter().enumerate() {
-            table.add(format!("c{i}"), *a);
-        }
-        arb_tree(n, depth).prop_map(move |tree| (table.clone(), tree))
-    })
+const CASES: usize = 256;
+
+/// A random RBD tree of depth at most 3 over 2–6 distinct components
+/// with availabilities in `[0.01, 0.999)`. Each component appears
+/// exactly once, so independent evaluation is exact.
+fn random_rbd(rng: &mut StdRng) -> (ComponentTable, Rbd) {
+    let n: usize = rng.gen_range(2..7);
+    let mut table = ComponentTable::new();
+    for i in 0..n {
+        table.add(format!("c{i}"), rng.gen_range(0.01..0.999));
+    }
+    (table, random_tree(rng, (0..n).collect(), 3))
 }
 
-fn arb_tree(n: usize, depth: u32) -> BoxedStrategy<Rbd> {
-    // Partition component ids 0..n into a random tree.
-    fn build(ids: Vec<usize>, depth: u32, rng_seed: u64) -> Rbd {
-        if ids.len() == 1 || depth == 0 {
-            return if ids.len() == 1 {
-                Rbd::component(ids[0])
-            } else {
-                Rbd::series(ids.into_iter().map(Rbd::component).collect())
-            };
-        }
-        // Deterministic pseudo-random split driven by the seed.
-        let mut s = rng_seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(ids.len() as u64);
-        let mut next = || {
-            s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (s >> 33) as usize
-        };
-        let cut = 1 + next() % (ids.len() - 1);
-        let (left, right) = ids.split_at(cut);
-        let l = build(left.to_vec(), depth - 1, next() as u64);
-        let r = build(right.to_vec(), depth - 1, next() as u64);
-        match next() % 3 {
-            0 => Rbd::series(vec![l, r]),
-            1 => Rbd::parallel(vec![l, r]),
-            _ => Rbd::k_of_n(1, vec![l, r]),
-        }
+/// Splits `ids` at a random point and joins the halves in series,
+/// parallel or 1-of-2, recursing until single components or depth 0.
+fn random_tree(rng: &mut StdRng, mut ids: Vec<usize>, depth: u32) -> Rbd {
+    if ids.len() == 1 {
+        return Rbd::component(ids[0]);
     }
-    (any::<u64>()).prop_map(move |seed| build((0..n).collect(), depth, seed)).boxed()
+    if depth == 0 {
+        return Rbd::series(ids.into_iter().map(Rbd::component).collect());
+    }
+    let right = ids.split_off(rng.gen_range(1..ids.len()));
+    let halves = vec![random_tree(rng, ids, depth - 1), random_tree(rng, right, depth - 1)];
+    match rng.gen_range(0..3u32) {
+        0 => Rbd::series(halves),
+        1 => Rbd::parallel(halves),
+        _ => Rbd::k_of_n(1, halves),
+    }
 }
 
-proptest! {
-    /// Availability is always a probability.
-    #[test]
-    fn availability_in_unit_interval((table, rbd) in arb_rbd(3)) {
-        let a = rbd.availability(&table).unwrap();
-        prop_assert!((0.0..=1.0).contains(&a), "a={a}");
-    }
-
-    /// Improving any component never lowers system availability
-    /// (monotone coherent structure).
-    #[test]
-    fn availability_monotone_in_components((table, rbd) in arb_rbd(3)) {
-        let base = rbd.availability(&table).unwrap();
-        for id in rbd.components() {
-            let mut t = table.clone();
-            let a = t.availability(id).unwrap();
-            t.set_availability(id, (a + 0.1).min(1.0)).unwrap();
-            let improved = rbd.availability(&t).unwrap();
-            prop_assert!(improved >= base - 1e-12);
-        }
-    }
-
-    /// Exact evaluation agrees with exhaustive expectation over the
-    /// structure function.
-    #[test]
-    fn shannon_matches_enumeration((table, rbd) in arb_rbd(3)) {
-        let comps = rbd.components();
-        prop_assume!(comps.len() <= 8);
-        let avail = table.availabilities();
+/// Exact (Shannon) evaluation agrees with the exhaustive expectation of
+/// the structure function over all component states.
+#[test]
+fn shannon_matches_enumeration() {
+    let mut rng = StdRng::seed_from_u64(0x4bd1);
+    for case in 0..CASES {
+        let (table, rbd) = random_rbd(&mut rng);
+        let (comps, avail) = (rbd.components(), table.availabilities());
         let mut expect = 0.0;
         for mask in 0u32..(1 << comps.len()) {
             let mut states = vec![false; table.len()];
             let mut p = 1.0;
-            for (b, &id) in comps.iter().enumerate() {
-                let up = mask & (1 << b) != 0;
-                states[id] = up;
-                p *= if up { avail[id] } else { 1.0 - avail[id] };
+            for (bit, &id) in comps.iter().enumerate() {
+                states[id] = mask & (1 << bit) != 0;
+                p *= if states[id] { avail[id] } else { 1.0 - avail[id] };
             }
             if structure::evaluate(&rbd, &states).unwrap() {
                 expect += p;
             }
         }
         let a = rbd.availability(&table).unwrap();
-        prop_assert!((a - expect).abs() < 1e-10, "{a} vs {expect}");
+        assert!((a - expect).abs() < 1e-10, "case {case}: {a} vs {expect}\n{rbd:?}");
     }
+}
 
-    /// The structure function is monotone and the diagram coherent.
-    #[test]
-    fn structure_is_monotone((table, rbd) in arb_rbd(3)) {
-        let (monotone, _) = structure::coherence(&rbd, &table).unwrap();
-        prop_assert!(monotone);
-    }
-
-    /// Esary-Proschan bounds bracket the exact availability.
-    #[test]
-    fn bounds_bracket_exact((table, rbd) in arb_rbd(3)) {
+/// The Esary–Proschan bounds bracket the exact availability.
+#[test]
+fn bounds_bracket_exact() {
+    let mut rng = StdRng::seed_from_u64(0x4bd2);
+    for case in 0..CASES {
+        let (table, rbd) = random_rbd(&mut rng);
         let exact = rbd.availability(&table).unwrap();
-        let paths = minimal_path_sets(&rbd);
-        let cuts = minimal_cut_sets(&rbd);
-        prop_assume!(!paths.is_empty() && !cuts.is_empty());
+        let (paths, cuts) = (minimal_path_sets(&rbd), minimal_cut_sets(&rbd));
+        assert!(!paths.is_empty() && !cuts.is_empty(), "case {case}: {rbd:?}");
         let (lo, hi) = esary_proschan_bounds(&paths, &cuts, table.availabilities());
-        prop_assert!(lo <= exact + 1e-9, "lo={lo} exact={exact}");
-        prop_assert!(hi >= exact - 1e-9, "hi={hi} exact={exact}");
-    }
-
-    /// Network factoring equals brute-force enumeration on random small
-    /// graphs.
-    #[test]
-    fn factoring_matches_enumeration(
-        edges in proptest::collection::vec((0usize..5, 0usize..5, 0.05..0.95f64), 1..8)
-    ) {
-        let nodes = 5;
-        let mut net = Network::new(nodes, 0, nodes - 1).unwrap();
-        let mut kept = Vec::new();
-        for &(u, v, p) in &edges {
-            if u != v {
-                net.add_edge(u, v, p, "e").unwrap();
-                kept.push((u, v, p));
-            }
-        }
-        prop_assume!(!kept.is_empty());
-        let fast = net.reliability().unwrap();
-
-        // Brute force over edge states.
-        let mut expect = 0.0;
-        for mask in 0u32..(1 << kept.len()) {
-            let mut parent: Vec<usize> = (0..nodes).collect();
-            fn find(p: &mut Vec<usize>, mut x: usize) -> usize {
-                while p[x] != x {
-                    p[x] = p[p[x]];
-                    x = p[x];
-                }
-                x
-            }
-            let mut pr = 1.0;
-            for (i, &(u, v, p)) in kept.iter().enumerate() {
-                if mask & (1 << i) != 0 {
-                    pr *= p;
-                    let (ru, rv) = (find(&mut parent, u), find(&mut parent, v));
-                    if ru != rv {
-                        parent[ru] = rv;
-                    }
-                } else {
-                    pr *= 1.0 - p;
-                }
-            }
-            if find(&mut parent, 0) == find(&mut parent, nodes - 1) {
-                expect += pr;
-            }
-        }
-        prop_assert!((fast - expect).abs() < 1e-10, "{fast} vs {expect}");
-    }
-
-    /// Fussell-Vesely importances are probabilities and a sole series
-    /// component scores 1.
-    #[test]
-    fn fussell_vesely_in_unit_interval((table, rbd) in arb_rbd(3)) {
-        let fv = fussell_vesely(&rbd, &table).unwrap();
-        for &(_, v) in &fv {
-            prop_assert!((0.0..=1.0).contains(&v), "fv={v}");
-        }
-    }
-
-    /// Every minimal path set indeed makes the system work, and every
-    /// minimal cut set fails it.
-    #[test]
-    fn path_and_cut_sets_are_sound((table, rbd) in arb_rbd(3)) {
-        for p in minimal_path_sets(&rbd) {
-            let mut states = vec![false; table.len()];
-            for &id in &p {
-                states[id] = true;
-            }
-            prop_assert!(structure::evaluate(&rbd, &states).unwrap());
-        }
-        for c in minimal_cut_sets(&rbd) {
-            let mut states = vec![true; table.len()];
-            for &id in &c {
-                states[id] = false;
-            }
-            prop_assert!(!structure::evaluate(&rbd, &states).unwrap());
-        }
+        assert!(lo <= exact + 1e-9 && hi >= exact - 1e-9, "case {case}: [{lo}, {hi}] vs {exact}");
     }
 }

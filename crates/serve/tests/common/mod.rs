@@ -3,6 +3,8 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
+use std::sync::Once;
 use std::time::Duration;
 
 use rascad_serve::{ServeConfig, Server, ShutdownHandle};
@@ -17,6 +19,7 @@ pub struct TestServer {
 impl TestServer {
     /// Binds on a free port and serves on a background thread.
     pub fn start(cfg: ServeConfig) -> TestServer {
+        flight_path();
         let cfg = ServeConfig { addr: "127.0.0.1:0".to_string(), ..cfg };
         let server = Server::bind(cfg).expect("bind 127.0.0.1:0");
         let addr = server.local_addr().unwrap();
@@ -39,6 +42,21 @@ impl Drop for TestServer {
             r.join().ok();
         }
     }
+}
+
+/// Where every server in this test process writes its flight dump: a
+/// per-process file in the system temp directory, exported once as
+/// `RASCAD_FLIGHT_PATH` so no test leaves a dump in the working
+/// directory.
+pub fn flight_path() -> PathBuf {
+    static EXPORT: Once = Once::new();
+    let path =
+        std::env::temp_dir().join(format!("rascad-serve-test-flight-{}.jsonl", std::process::id()));
+    EXPORT.call_once(|| {
+        std::fs::remove_file(&path).ok();
+        std::env::set_var("RASCAD_FLIGHT_PATH", &path);
+    });
+    path
 }
 
 /// One HTTP exchange on a fresh connection. Returns status, headers
@@ -74,11 +92,6 @@ pub fn parse_response(raw: &[u8]) -> (u16, Vec<(String, String)>, String) {
         .map(|(k, v)| (k.trim().to_ascii_lowercase(), v.trim().to_string()))
         .collect();
     (status, headers, body.to_string())
-}
-
-/// Header lookup by lower-case name.
-pub fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
 }
 
 /// A tiny two-block spec, JSON-escaped into a `/v1/specs` body.

@@ -6,9 +6,14 @@ mod common;
 
 use std::time::Duration;
 
-use common::{escape, header, request, spec_dsl, TestServer};
+use common::{escape, flight_path, request, spec_dsl, TestServer};
 use rascad_obs::json;
 use rascad_serve::{AdmissionConfig, ServeConfig};
+
+/// Header lookup by lower-case name.
+fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
+}
 
 fn default_server() -> TestServer {
     TestServer::start(ServeConfig::default())
@@ -71,6 +76,18 @@ fn store_solve_and_sweep_round_trip() {
     assert_eq!(status, 200, "{body}");
     let v = json::parse(&body).unwrap();
     assert_eq!(v.get("points").unwrap().as_array().unwrap().len(), 4);
+
+    // Block names may contain `/`, as the library's "I/O Board" does.
+    let slashed = escape(&spec_dsl().replace(r#"block "A""#, r#"block "I/O Board""#));
+    let (status, _, body) = request(
+        srv.addr,
+        "POST",
+        "/v1/sweep",
+        &format!(
+            r#"{{"spec":"{slashed}","block":"I/O Board","param":"mtbf","from":5000,"to":50000,"points":3}}"#
+        ),
+    );
+    assert_eq!(status, 200, "{body}");
 }
 
 #[test]
@@ -205,4 +222,9 @@ fn graceful_shutdown_drains_in_flight_requests() {
     assert_eq!(v.get("degraded").unwrap().as_bool(), Some(true), "{body}");
     assert!(summary.drained_clean, "{summary:?}");
     assert!(summary.requests >= 1);
+    // The degraded solve is an incident, so the drain dumped the flight
+    // rings, and the dump went to the test's temp path.
+    let dump = std::fs::read_to_string(flight_path()).expect("flight dump at RASCAD_FLIGHT_PATH");
+    assert!(dump.lines().next().unwrap_or("").contains(r#""flight_recorder":"rascad""#));
+    std::fs::remove_file(flight_path()).ok();
 }

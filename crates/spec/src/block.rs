@@ -11,7 +11,6 @@ use crate::units::{Fit, Hours, Minutes};
 /// the repair/reintegration event. The four combinations select Markov
 /// Model Types 1–4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scenario {
     /// No downtime is associated with the event.
     #[default]
@@ -23,7 +22,6 @@ pub enum Scenario {
 /// Redundancy-only parameters, "relevant only if Quantity is greater
 /// than Minimum Quantity Required" (paper Section 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RedundancyParams {
     /// Probability of Latent Fault (`Plf`): a permanent fault that
     /// escapes detection.
@@ -87,7 +85,6 @@ impl RedundancyParams {
 
 /// The full per-block parameter list of paper Section 3.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BlockParams {
     /// Name of this component.
     pub name: String,
@@ -244,7 +241,6 @@ impl BlockParams {
 /// An MG block: a parameter list plus an optional subdiagram modeling
 /// the component's internals.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Block {
     /// The engineering parameters of this component.
     pub params: BlockParams,

@@ -10,7 +10,6 @@ use crate::params::GlobalParams;
 
 /// An MG diagram: a named list of blocks, modeled as a serial RBD.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Diagram {
     /// Diagram name, e.g. `"Data Center System"`.
     pub name: String,
@@ -106,38 +105,48 @@ impl Diagram {
 
     /// Finds a block by slash-separated path relative to this diagram
     /// (not including the diagram's own name), e.g.
-    /// `"Server Box/CPU Module"`.
+    /// `"Server Box/CPU Module"`. Block names may themselves contain
+    /// `/` (`"Server Box/I/O Board"` resolves).
     #[must_use]
     pub fn find(&self, path: &str) -> Option<&Block> {
-        let mut parts = path.split('/');
-        let first = parts.next()?;
-        let block = self.blocks.iter().find(|b| b.params.name == first)?;
-        let rest: Vec<&str> = parts.collect();
-        if rest.is_empty() {
-            Some(block)
-        } else {
-            block.subdiagram.as_ref()?.find(&rest.join("/"))
+        let mut route = self.route(path)?.into_iter();
+        let mut block = &self.blocks[route.next()?];
+        for i in route {
+            block = &block.subdiagram.as_ref()?.blocks[i];
         }
+        Some(block)
     }
 
     /// Mutable variant of [`find`](Self::find).
     pub fn find_mut(&mut self, path: &str) -> Option<&mut Block> {
-        let mut parts = path.split('/');
-        let first = parts.next()?;
-        let block = self.blocks.iter_mut().find(|b| b.params.name == first)?;
-        let rest: Vec<&str> = parts.collect();
-        if rest.is_empty() {
-            Some(block)
-        } else {
-            block.subdiagram.as_mut()?.find_mut(&rest.join("/"))
+        let mut route = self.route(path)?.into_iter();
+        let mut block = &mut self.blocks[route.next()?];
+        for i in route {
+            block = &mut block.subdiagram.as_mut()?.blocks[i];
         }
+        Some(block)
+    }
+
+    /// Block indices, level by level, of the block at `path`. At each
+    /// level a child whose whole name equals the rest of the path wins;
+    /// otherwise each child whose name is a prefix of it ending at a
+    /// `/` is tried in order, descending into its subdiagram.
+    fn route(&self, path: &str) -> Option<Vec<usize>> {
+        if let Some(i) = self.blocks.iter().position(|b| b.params.name == path) {
+            return Some(vec![i]);
+        }
+        self.blocks.iter().enumerate().find_map(|(i, b)| {
+            let rest = path.strip_prefix(b.params.name.as_str())?.strip_prefix('/')?;
+            let mut route = b.subdiagram.as_ref()?.route(rest)?;
+            route.insert(0, i);
+            Some(route)
+        })
     }
 }
 
 /// A complete system specification: the root diagram plus the global
 /// parameters.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SystemSpec {
     /// The level-1 diagram.
     pub root: Diagram,
@@ -169,9 +178,8 @@ impl SystemSpec {
 
     /// Serializes to the canonical JSON interchange form.
     ///
-    /// The writer is hand-rolled (see [`crate::json`]) and emits the
-    /// same document shape serde would, so it works in offline builds
-    /// without the `serde` feature.
+    /// The writer is hand-rolled on `rascad_obs::json` (see
+    /// [`crate::json`]).
     ///
     /// # Errors
     ///
@@ -250,11 +258,29 @@ mod tests {
 
     #[test]
     fn find_by_path() {
-        let d = sample();
+        let mut d = sample();
         assert!(d.find("Server Box").is_some());
         assert_eq!(d.find("Server Box/CPU Module").unwrap().params.quantity, 4);
         assert!(d.find("Server Box/GPU").is_none());
         assert!(d.find("Nope").is_none());
+
+        // Names containing `/`, as in the library's e10000 ("I/O Board")
+        // and datacenter ("Server Box/I/O Board", "Server Box/DVD/Tape
+        // Unit") models.
+        d.push(BlockParams::new("I/O Board", 4, 3));
+        let server = d.find_mut("Server Box").unwrap().subdiagram.as_mut().unwrap();
+        server.push(BlockParams::new("I/O Board", 2, 1));
+        server.push(BlockParams::new("DVD/Tape Unit", 1, 1));
+        assert_eq!(d.find("I/O Board").unwrap().params.quantity, 4);
+        assert_eq!(d.find("Server Box/I/O Board").unwrap().params.quantity, 2);
+        assert_eq!(d.find("Server Box/DVD/Tape Unit").unwrap().params.name, "DVD/Tape Unit");
+        assert!(d.find("Server Box/DVD").is_none());
+        assert!(d.find("I/O Board/CPU Module").is_none());
+
+        // A whole-name match beats descending through a prefix.
+        d.push(BlockParams::new("Server Box/CPU Module", 3, 2));
+        assert_eq!(d.find("Server Box/CPU Module").unwrap().params.quantity, 3);
+        assert_eq!(d.find("Server Box/Memory Bank").unwrap().params.quantity, 8);
     }
 
     #[test]

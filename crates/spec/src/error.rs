@@ -53,7 +53,7 @@ pub enum SpecError {
     },
     /// JSON (de)serialization error.
     Json {
-        /// Underlying serde message.
+        /// What the JSON reader rejected.
         message: String,
     },
 }

@@ -1,12 +1,9 @@
 //! JSON interchange for [`SystemSpec`], hand-rolled on
 //! [`rascad_obs::json`].
 //!
-//! The wire shape matches what `#[derive(serde::Serialize)]` produces
-//! for these types (unit newtypes as bare numbers, enum unit variants
-//! as strings, `Option` as the value or `null`), so documents written
-//! by a serde-enabled build and by this module are interchangeable.
-//! Unknown object keys are ignored; missing optional fields read as
-//! `None`.
+//! Unit newtypes are written as bare numbers, enum unit variants as
+//! strings, and `Option` as the value or `null`. Unknown object keys
+//! are ignored; missing optional fields read as `None`.
 
 use rascad_obs::json::Value;
 

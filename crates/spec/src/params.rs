@@ -7,7 +7,6 @@ use crate::units::{Hours, Minutes};
 
 /// Global parameters applying to every block (paper Section 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GlobalParams {
     /// Reboot Time (`Tboot`): time to reboot the system.
     pub reboot_time: Minutes,

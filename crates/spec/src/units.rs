@@ -7,17 +7,14 @@
 
 /// A duration in hours.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Hours(pub f64);
 
 /// A duration in minutes.
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Minutes(pub f64);
 
 /// A failure rate in FIT (failures per 10⁹ hours).
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Fit(pub f64);
 
 impl Hours {

@@ -1,10 +1,8 @@
-//! Deterministic no-panic corpus for the spec front end.
-//!
-//! Unlike `fuzz_dsl.rs` (which needs the real `proptest` crate and is
-//! feature-gated off in the offline build), this suite always runs: a
+//! Deterministic no-panic corpus for the spec front end: a
 //! hand-written corpus of malformed, truncated, and garbage inputs,
-//! plus seeded mutations of the bundled `specs/` files. The contract is
-//! the same — the parser returns `Err`, it never panics.
+//! seeded mutations of the bundled `specs/` files, and seeded soups of
+//! DSL tokens. The contract is that the parser returns `Err`; it never
+//! panics.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -163,6 +161,22 @@ fn seeded_mutations_of_bundled_specs_never_panic() {
             }
             parse_both(&mutant).unwrap_or_else(|e| panic!("{name} mutant {i}: {e}"));
         }
+    }
+}
+
+#[test]
+fn seeded_token_soup_never_panics() {
+    const SOUPS: usize = 512;
+    // The DSL's vocabulary, one token per whitespace-separated word.
+    let vocabulary: Vec<&str> = "diagram block global redundancy subdiagram { } = \"x\" mtbf \
+                                 quantity 3 4.5 h min transparent #c recovery"
+        .split_whitespace()
+        .collect();
+    let mut rng = Lcg(0x50_0b);
+    for i in 0..SOUPS {
+        let soup: Vec<&str> =
+            (0..rng.below(40)).map(|_| vocabulary[rng.below(vocabulary.len())]).collect();
+        parse_both(&soup.join(" ")).unwrap_or_else(|e| panic!("soup {i}: {e}"));
     }
 }
 

@@ -1,131 +1,90 @@
-//! Property-based tests; compiled only with the `proptest-tests`
-//! feature, which requires the real `proptest` crate (the offline
-//! build vendors an empty placeholder — see vendor/README.md).
-#![cfg(feature = "proptest-tests")]
+//! Seeded property loops for the spec crate: DSL and JSON round-trips
+//! over [`CASES`] random specifications drawn from the vendored `rand`;
+//! a failure names its case.
 
-//! Property-based tests for the spec crate: DSL round-trips and
-//! validation invariants over randomly generated specifications.
-
-use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rascad_spec::units::{Fit, Hours, Minutes};
 use rascad_spec::{
     Block, BlockParams, Diagram, GlobalParams, RedundancyParams, Scenario, SystemSpec,
 };
 
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
-    prop_oneof![Just(Scenario::Transparent), Just(Scenario::Nontransparent)]
-}
+const CASES: usize = 256;
 
-fn arb_redundancy() -> impl Strategy<Value = RedundancyParams> {
-    (
-        0.0..0.5f64,
-        1.0..1000.0f64,
-        arb_scenario(),
-        0.0..60.0f64,
-        0.0..0.2f64,
-        0.0..120.0f64,
-        arb_scenario(),
-        0.0..60.0f64,
-    )
-        .prop_map(|(plf, mttdlf, recovery, fo, pspf, spf, repair, reint)| RedundancyParams {
-            p_latent_fault: plf,
-            mttdlf: Hours(mttdlf),
-            recovery,
-            failover_time: Minutes(fo),
-            p_spf: pspf,
-            spf_recovery_time: Minutes(spf),
-            repair,
-            reintegration_time: Minutes(reint),
-        })
-}
-
-fn arb_params(name: String) -> impl Strategy<Value = BlockParams> {
-    (
-        1u32..6,
-        0u32..4,
-        100.0..1e7f64,
-        0.0..10_000.0f64,
-        (1.0..120.0f64, 0.0..120.0f64, 0.0..60.0f64),
-        0.0..48.0f64,
-        0.5..1.0f64,
-        arb_redundancy(),
-    )
-        .prop_map(move |(k, extra, mtbf, fit, (d, c, v), resp, pcd, red)| {
-            let n = k + extra;
-            let mut p = BlockParams::new(name.clone(), n, k)
-                .with_mtbf(Hours(mtbf))
-                .with_transient_fit(Fit(fit))
-                .with_mttr_parts(Minutes(d), Minutes(c), Minutes(v))
-                .with_service_response(Hours(resp))
-                .with_p_correct_diagnosis(pcd);
-            p.redundancy = if n > k { Some(red) } else { None };
-            p
-        })
-}
-
-fn arb_spec() -> impl Strategy<Value = SystemSpec> {
-    // 1-4 top blocks, up to one with a 1-3 block subdiagram.
-    (1usize..5, 1usize..4).prop_flat_map(|(ntop, nsub)| {
-        let tops: Vec<_> = (0..ntop).map(|i| arb_params(format!("Top{i}"))).collect();
-        let subs: Vec<_> = (0..nsub).map(|i| arb_params(format!("Sub{i}"))).collect();
-        (tops, subs).prop_map(|(tops, subs)| {
-            let mut root = Diagram::new("Root");
-            let mut iter = tops.into_iter();
-            if let Some(first) = iter.next() {
-                let mut sub = Diagram::new("Subsystem");
-                for s in subs {
-                    sub.push(s);
-                }
-                root.push_block(Block::with_subdiagram(first, sub));
-            }
-            for t in iter {
-                root.push(t);
-            }
-            SystemSpec::new(root, GlobalParams::default())
-        })
-    })
-}
-
-proptest! {
-    /// Generated specs are valid by construction.
-    #[test]
-    fn generated_specs_validate(spec in arb_spec()) {
-        prop_assert!(spec.validate().is_ok(), "{:?}", spec.validate());
+fn random_scenario(rng: &mut StdRng) -> Scenario {
+    if rng.gen_bool(0.5) {
+        Scenario::Transparent
+    } else {
+        Scenario::Nontransparent
     }
+}
 
-    /// DSL print -> parse is the identity.
-    #[test]
-    fn dsl_roundtrip(spec in arb_spec()) {
+/// Random, valid block parameters: K in 1..6, up to 3 spares, every
+/// value drawn across its documented range.
+fn random_params(rng: &mut StdRng, name: String) -> BlockParams {
+    let k: u32 = rng.gen_range(1..6);
+    let n = k + rng.gen_range(0..4u32);
+    let mut p = BlockParams::new(name, n, k)
+        .with_mtbf(Hours(rng.gen_range(100.0..1e7)))
+        .with_transient_fit(Fit(rng.gen_range(0.0..10_000.0)))
+        .with_mttr_parts(
+            Minutes(rng.gen_range(1.0..120.0)),
+            Minutes(rng.gen_range(0.0..120.0)),
+            Minutes(rng.gen_range(0.0..60.0)),
+        )
+        .with_service_response(Hours(rng.gen_range(0.0..48.0)))
+        .with_p_correct_diagnosis(rng.gen_range(0.5..1.0));
+    let redundancy = RedundancyParams {
+        p_latent_fault: rng.gen_range(0.0..0.5),
+        mttdlf: Hours(rng.gen_range(1.0..1000.0)),
+        recovery: random_scenario(rng),
+        failover_time: Minutes(rng.gen_range(0.0..60.0)),
+        p_spf: rng.gen_range(0.0..0.2),
+        spf_recovery_time: Minutes(rng.gen_range(0.0..120.0)),
+        repair: random_scenario(rng),
+        reintegration_time: Minutes(rng.gen_range(0.0..60.0)),
+    };
+    p.redundancy = (n > k).then_some(redundancy);
+    p
+}
+
+/// A random valid two-level spec: 1–4 top blocks, the first carrying a
+/// 1–3 block subdiagram.
+fn random_spec(rng: &mut StdRng) -> SystemSpec {
+    let mut sub = Diagram::new("Subsystem");
+    for i in 0..rng.gen_range(1..4usize) {
+        sub.push(random_params(rng, format!("Sub{i}")));
+    }
+    let mut root = Diagram::new("Root");
+    root.push_block(Block::with_subdiagram(random_params(rng, "Top0".to_string()), sub));
+    for i in 1..rng.gen_range(1..5usize) {
+        root.push(random_params(rng, format!("Top{i}")));
+    }
+    let spec = SystemSpec::new(root, GlobalParams::default());
+    spec.validate().unwrap();
+    spec
+}
+
+/// DSL print -> parse is the identity.
+#[test]
+fn dsl_roundtrip() {
+    let mut rng = StdRng::seed_from_u64(0x5bec1);
+    for case in 0..CASES {
+        let spec = random_spec(&mut rng);
         let text = spec.to_dsl();
-        let back = SystemSpec::from_dsl(&text);
-        prop_assert!(back.is_ok(), "parse failed: {:?}\n{text}", back.err());
-        prop_assert_eq!(spec, back.unwrap());
+        let back = SystemSpec::from_dsl(&text).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(back, spec, "case {case}:\n{text}");
     }
+}
 
-    /// JSON round-trip is the identity.
-    #[test]
-    fn json_roundtrip(spec in arb_spec()) {
+/// JSON write -> read is the identity.
+#[test]
+fn json_roundtrip() {
+    let mut rng = StdRng::seed_from_u64(0x5bec2);
+    for case in 0..CASES {
+        let spec = random_spec(&mut rng);
         let json = spec.to_json().unwrap();
-        let back = SystemSpec::from_json(&json).unwrap();
-        prop_assert_eq!(spec, back);
-    }
-
-    /// DSL and JSON agree after a full cycle through both.
-    #[test]
-    fn dsl_and_json_compose(spec in arb_spec()) {
-        let via_dsl = SystemSpec::from_dsl(&spec.to_dsl()).unwrap();
-        let via_json = SystemSpec::from_json(&via_dsl.to_json().unwrap()).unwrap();
-        prop_assert_eq!(spec, via_json);
-    }
-
-    /// Derived rates are consistent with parameters.
-    #[test]
-    fn derived_rates_consistent(spec in arb_spec()) {
-        spec.root.walk(&mut |_, _, b| {
-            let p = &b.params;
-            assert!((p.permanent_rate() * p.mtbf.0 - 1.0).abs() < 1e-12);
-            assert!(p.transient_rate() >= 0.0);
-            assert!(p.mttr_total().0 > 0.0);
-        });
+        let back = SystemSpec::from_json(&json).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        assert_eq!(back, spec, "case {case}:\n{json}");
     }
 }

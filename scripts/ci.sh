@@ -2,8 +2,8 @@
 # Pre-PR gate: formatting, lints, and the full offline test suite.
 #
 # Runs entirely offline — no network, no crates.io. The vendored
-# stand-in crates under vendor/ satisfy every external dependency, so
-# `--offline` is passed to each cargo invocation.
+# stand-in crate under vendor/ satisfies the one external dependency,
+# so `--offline` is passed to each cargo invocation.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -13,10 +13,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --all --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy --workspace --all-targets (deny warnings + promoted pedantic lints)"
-# The three most frequent lints from the pedantic report below are
-# promoted to hard errors; the rest stay report-only.
-cargo clippy --workspace --all-targets --offline -- -D warnings \
+echo "==> cargo clippy --workspace --all-targets --all-features (deny warnings + promoted pedantic lints)"
+# Every feature builds offline, so the gate lints all of them (the
+# fault-inject chaos suites included). The three most frequent lints
+# from the pedantic report below are promoted to hard errors; the rest
+# stay report-only.
+cargo clippy --workspace --all-targets --all-features --offline -- -D warnings \
     -D clippy::must-use-candidate \
     -D clippy::float-cmp \
     -D clippy::cast-precision-loss
@@ -221,6 +223,13 @@ cargo run --offline -q -p rascad-cli -- bench --serve --quick \
 cargo run --offline -q -p rascad-cli -- bench --validate target/bench_serve_smoke.json
 cargo run --offline -q -p rascad-cli -- bench --validate BENCH_serve.json
 
+# Every committed baseline must validate under the current schema and
+# meet its workload's claim gates (BENCH_large and BENCH_serve are
+# checked above, next to their fresh runs).
+echo "==> committed baselines (BENCH_sweep, BENCH_convergence)"
+cargo run --offline -q -p rascad-cli -- bench --validate BENCH_sweep.json
+cargo run --offline -q -p rascad-cli -- bench --validate BENCH_convergence.json
+
 # Determinism gate: the same sweep run at 1 thread and at 8 threads
 # must produce byte-identical reports.
 echo "==> sweep determinism (1 vs 8 threads, byte-identical output)"
@@ -240,6 +249,7 @@ cmp target/ci_sweep_t1.txt target/ci_sweep_t8.txt
 echo "==> chaos suites (fault-inject) + parser no-panic corpus"
 cargo test --offline -q -p rascad-core --features fault-inject --test chaos
 cargo test --offline -q -p rascad-cli --features fault-inject --test chaos
+cargo test --offline -q -p rascad-serve --features fault-inject --test chaos
 cargo test --offline -q -p rascad-spec --test no_panic
 
 # Fault-injection smoke against the compiled binary: force one
@@ -325,7 +335,7 @@ done
 # gating the build on them (the hard clippy gate above already denies
 # default-level warnings). Mirrors the bench-smoke pattern.
 echo "==> cargo clippy pedantic (report only)"
-cargo clippy --workspace --all-targets --offline -- -W clippy::pedantic 2>&1 |
+cargo clippy --workspace --all-targets --all-features --offline -- -W clippy::pedantic 2>&1 |
     grep -E "^warning" | sort | uniq -c | sort -rn | head -20 || true
 
 echo "ci: all gates passed"
