@@ -49,13 +49,38 @@ fn random_block(rng: &mut StdRng) -> BlockParams {
     p
 }
 
+/// A case that once failed, kept as a fixed input: a 2-of-1 block with
+/// every optional rate, probability and duration exactly zero and the
+/// lowest diagnosis probability.
+fn zero_rates_block() -> BlockParams {
+    BlockParams::new("P", 2, 1)
+        .with_mtbf(Hours(1_000.0))
+        .with_mttr_parts(Minutes(0.0), Minutes(1.0), Minutes(0.0))
+        .with_service_response(Hours(0.0))
+        .with_p_correct_diagnosis(0.5)
+        .with_redundancy(RedundancyParams {
+            p_latent_fault: 0.0,
+            mttdlf: Hours(1.0),
+            recovery: Scenario::Transparent,
+            failover_time: Minutes(0.0),
+            p_spf: 0.0,
+            spf_recovery_time: Minutes(0.0),
+            repair: Scenario::Transparent,
+            reintegration_time: Minutes(0.0),
+        })
+}
+
+/// The fixed cases first, then [`CASES`] random blocks from `seed`.
+fn blocks(seed: u64) -> impl Iterator<Item = BlockParams> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    std::iter::once(zero_rates_block()).chain((0..CASES).map(move |_| random_block(&mut rng)))
+}
+
 /// Every generated chain builds with `Ok` as state 0 and yields an
 /// availability in (0, 1] with non-negative failure rate and downtime.
 #[test]
 fn generated_chain_is_well_formed() {
-    let mut rng = StdRng::seed_from_u64(0xc0e1);
-    for case in 0..CASES {
-        let p = random_block(&mut rng);
+    for (case, p) in blocks(0xc0e1).enumerate() {
         let model = generate_block(&p, &GlobalParams::default()).unwrap();
         assert_eq!(model.chain.states()[0].label, "Ok", "case {case}: {p:?}");
         let m = steady_state_measures(&model, SteadyStateMethod::Gth).unwrap();
@@ -73,9 +98,7 @@ fn generated_chain_is_well_formed() {
 /// paper's 0.2 % validation threshold.
 #[test]
 fn gth_and_lu_agree() {
-    let mut rng = StdRng::seed_from_u64(0xc0e2);
-    for case in 0..CASES {
-        let p = random_block(&mut rng);
+    for (case, p) in blocks(0xc0e2).enumerate() {
         let model = generate_block(&p, &GlobalParams::default()).unwrap();
         let gth = steady_state_measures(&model, SteadyStateMethod::Gth).unwrap();
         let lu = steady_state_measures(&model, SteadyStateMethod::Lu).unwrap();

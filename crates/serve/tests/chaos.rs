@@ -6,7 +6,7 @@ mod common;
 
 use std::time::{Duration, Instant};
 
-use common::{escape, request, spec_dsl, TestServer};
+use common::{escape, flight_path, request, spec_dsl, TestServer};
 use rascad_fault::{FaultKind, FaultPlan, PlanGuard};
 use rascad_obs::json;
 use rascad_serve::ServeConfig;
@@ -25,9 +25,7 @@ fn solve_body() -> String {
 #[test]
 fn injected_worker_panic_is_a_typed_500_and_the_server_keeps_serving() {
     let _l = lock();
-    let flight =
-        std::env::temp_dir().join(format!("rascad-serve-chaos-{}.jsonl", std::process::id()));
-    std::env::set_var("RASCAD_FLIGHT_PATH", &flight);
+    let flight = flight_path();
     std::fs::remove_file(&flight).ok();
     let srv = TestServer::start(ServeConfig::default());
 

@@ -65,12 +65,51 @@ fn random_spec(rng: &mut StdRng) -> SystemSpec {
     spec
 }
 
+/// Cases that once failed, kept as fixed inputs: a 100 h top block over
+/// a one-block subdiagram, with a lone nonzero reintegration time (on a
+/// 2-of-1 block) or verification time (on a 1-of-1 block).
+fn known_specs() -> Vec<SystemSpec> {
+    let zeroed = |n: u32| {
+        BlockParams::new("Top0", n, 1)
+            .with_mtbf(Hours(100.0))
+            .with_mttr_parts(Minutes(1.0), Minutes(0.0), Minutes(0.0))
+            .with_service_response(Hours(0.0))
+            .with_p_correct_diagnosis(0.5)
+    };
+    let two_level = |top: BlockParams| {
+        let mut sub = Diagram::new("Subsystem");
+        sub.push(BlockParams { name: "Sub0".to_string(), ..zeroed(1) });
+        let mut root = Diagram::new("Root");
+        root.push_block(Block::with_subdiagram(top, sub));
+        let spec = SystemSpec::new(root, GlobalParams::default());
+        spec.validate().unwrap();
+        spec
+    };
+    let reintegration = zeroed(2).with_redundancy(RedundancyParams {
+        p_latent_fault: 0.0,
+        mttdlf: Hours(1.0),
+        recovery: Scenario::Transparent,
+        failover_time: Minutes(0.0),
+        p_spf: 0.0,
+        spf_recovery_time: Minutes(0.0),
+        repair: Scenario::Transparent,
+        reintegration_time: Minutes(31.024185018852748),
+    });
+    let verification =
+        zeroed(1).with_mttr_parts(Minutes(1.0), Minutes(0.0), Minutes(27.918133237068794));
+    vec![two_level(reintegration), two_level(verification)]
+}
+
+/// The fixed cases first, then [`CASES`] random specs from `seed`.
+fn specs(seed: u64) -> impl Iterator<Item = SystemSpec> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    known_specs().into_iter().chain((0..CASES).map(move |_| random_spec(&mut rng)))
+}
+
 /// DSL print -> parse is the identity.
 #[test]
 fn dsl_roundtrip() {
-    let mut rng = StdRng::seed_from_u64(0x5bec1);
-    for case in 0..CASES {
-        let spec = random_spec(&mut rng);
+    for (case, spec) in specs(0x5bec1).enumerate() {
         let text = spec.to_dsl();
         let back = SystemSpec::from_dsl(&text).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(back, spec, "case {case}:\n{text}");
@@ -80,9 +119,7 @@ fn dsl_roundtrip() {
 /// JSON write -> read is the identity.
 #[test]
 fn json_roundtrip() {
-    let mut rng = StdRng::seed_from_u64(0x5bec2);
-    for case in 0..CASES {
-        let spec = random_spec(&mut rng);
+    for (case, spec) in specs(0x5bec2).enumerate() {
         let json = spec.to_json().unwrap();
         let back = SystemSpec::from_json(&json).unwrap_or_else(|e| panic!("case {case}: {e}"));
         assert_eq!(back, spec, "case {case}:\n{json}");
