@@ -1743,10 +1743,6 @@ mod tests {
         std::env::temp_dir().join(name)
     }
 
-    fn run_bench(args: &[&str]) -> Result<String, CliError> {
-        bench(args)
-    }
-
     /// The entry of the array `doc[list]` whose `name` is `name`.
     fn named<'a>(doc: &'a Value, list: &str, name: &str) -> &'a Value {
         doc.get(list)
@@ -1799,7 +1795,7 @@ mod tests {
     #[test]
     fn quick_json_is_schema_valid_with_solver_diagnostics() {
         let _lock = obs_test_lock();
-        let out = run_bench(&["--quick", "--json", "--label", "unit"]).unwrap();
+        let out = bench(&["--quick", "--json", "--label", "unit"]).unwrap();
         let doc = json::parse(&out).unwrap();
         let (label, profile, n) = check_document(&doc).unwrap();
         assert_eq!(label, "unit");
@@ -1878,7 +1874,7 @@ mod tests {
     /// Runs one workload in quick mode and returns its validated
     /// document after checking its label, workload and stage names.
     fn quick_workload(flag: &str, stages: &[&str]) -> Value {
-        let doc = json::parse(&run_bench(&[flag, "--quick", "--json"]).unwrap()).unwrap();
+        let doc = json::parse(&bench(&[flag, "--quick", "--json"]).unwrap()).unwrap();
         let (label, profile, _) = check_document(&doc).unwrap();
         assert_eq!((label.as_str(), profile.as_str()), (&flag[2..], "quick"));
         assert_eq!(doc.get("workload").and_then(Value::as_str), Some(&flag[2..]));
@@ -2100,7 +2096,7 @@ mod tests {
             claims[0].1 = failing(gates.claims[0].1);
             std::fs::write(&path, gated_doc(workload, &stages, &claims).to_string_pretty())
                 .unwrap();
-            let err = run_bench(&["--validate", path.to_str().unwrap()]).unwrap_err();
+            let err = bench(&["--validate", path.to_str().unwrap()]).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{workload:?}: {err}");
             assert!(err.to_string().contains("breaks its gate"), "{err}");
             std::fs::remove_file(&path).ok();
@@ -2111,11 +2107,11 @@ mod tests {
     fn compare_against_own_baseline_passes() {
         let _lock = obs_test_lock();
         let path = tmp("rascad_bench_base_ok.json");
-        run_bench(&["--quick", "--out", path.to_str().unwrap(), "--json"]).unwrap();
+        bench(&["--quick", "--out", path.to_str().unwrap(), "--json"]).unwrap();
         // Loose thresholds so machine noise can't flake the test; the
         // mechanics (matching, ratio math, exit path) are what's under
         // test here.
-        let out = run_bench(&[
+        let out = bench(&[
             "--quick",
             "--json",
             "--compare",
@@ -2137,13 +2133,13 @@ mod tests {
     fn injected_slowdown_trips_regression_exit_code() {
         let _lock = obs_test_lock();
         let path = tmp("rascad_bench_base_slow.json");
-        run_bench(&["--quick", "--out", path.to_str().unwrap(), "--json"]).unwrap();
+        bench(&["--quick", "--out", path.to_str().unwrap(), "--json"]).unwrap();
 
         // Doctor the baseline: shrink every stage minimum 1000x, which
         // makes the (unchanged) current run look like a huge slowdown.
         assert!(shrink_in_stages(&path, &["min_us"], 1000.0) > 0);
 
-        let err = run_bench(&["--quick", "--compare", path.to_str().unwrap()]).unwrap_err();
+        let err = bench(&["--quick", "--compare", path.to_str().unwrap()]).unwrap_err();
         assert_eq!(err.exit_code(), 6, "{err:?}");
         let report = err.to_string();
         assert!(report.contains("FAIL"), "{report}");
@@ -2155,16 +2151,16 @@ mod tests {
     fn validate_accepts_emitted_and_rejects_corrupt() {
         let _lock = obs_test_lock();
         let path = tmp("rascad_bench_validate.json");
-        run_bench(&["--quick", "--out", path.to_str().unwrap(), "--json"]).unwrap();
-        let out = run_bench(&["--validate", path.to_str().unwrap()]).unwrap();
+        bench(&["--quick", "--out", path.to_str().unwrap(), "--json"]).unwrap();
+        let out = bench(&["--validate", path.to_str().unwrap()]).unwrap();
         assert!(out.starts_with("ok:"), "{out}");
 
         std::fs::write(&path, "{\"schema\": \"other/v9\"}").unwrap();
-        let err = run_bench(&["--validate", path.to_str().unwrap()]).unwrap_err();
+        let err = bench(&["--validate", path.to_str().unwrap()]).unwrap_err();
         assert_eq!(err.exit_code(), 2);
 
         std::fs::write(&path, "not json").unwrap();
-        assert!(run_bench(&["--validate", path.to_str().unwrap()]).is_err());
+        assert!(bench(&["--validate", path.to_str().unwrap()]).is_err());
         std::fs::remove_file(&path).ok();
     }
 
@@ -2263,7 +2259,7 @@ mod tests {
     fn injected_residual_regression_trips_the_accuracy_gate() {
         let _lock = obs_test_lock();
         let path = tmp("rascad_bench_base_accuracy.json");
-        run_bench(&["--quick", "--out", path.to_str().unwrap(), "--json"]).unwrap();
+        bench(&["--quick", "--out", path.to_str().unwrap(), "--json"]).unwrap();
 
         // Doctor the baseline: shrink every certified residual a
         // million-fold, which makes the (numerically unchanged) current
@@ -2275,9 +2271,8 @@ mod tests {
         // are bit-identical run to run, so the 1e6 ratio is real signal.
         // --residual-floor 0 keeps near-machine-precision residuals in
         // scope for this single-machine check.
-        let err =
-            run_bench(&["--quick", "--compare", path.to_str().unwrap(), "--residual-floor", "0"])
-                .unwrap_err();
+        let err = bench(&["--quick", "--compare", path.to_str().unwrap(), "--residual-floor", "0"])
+            .unwrap_err();
         assert_eq!(err.exit_code(), 6, "{err:?}");
         let report = err.to_string();
         assert!(report.contains("residual:"), "{report}");

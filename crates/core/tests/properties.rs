@@ -59,14 +59,9 @@ fn zero_rates_block() -> BlockParams {
         .with_service_response(Hours(0.0))
         .with_p_correct_diagnosis(0.5)
         .with_redundancy(RedundancyParams {
-            p_latent_fault: 0.0,
             mttdlf: Hours(1.0),
-            recovery: Scenario::Transparent,
-            failover_time: Minutes(0.0),
-            p_spf: 0.0,
             spf_recovery_time: Minutes(0.0),
-            repair: Scenario::Transparent,
-            reintegration_time: Minutes(0.0),
+            ..RedundancyParams::default()
         })
 }
 

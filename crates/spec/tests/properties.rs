@@ -86,14 +86,10 @@ fn known_specs() -> Vec<SystemSpec> {
         spec
     };
     let reintegration = zeroed(2).with_redundancy(RedundancyParams {
-        p_latent_fault: 0.0,
         mttdlf: Hours(1.0),
-        recovery: Scenario::Transparent,
-        failover_time: Minutes(0.0),
-        p_spf: 0.0,
         spf_recovery_time: Minutes(0.0),
-        repair: Scenario::Transparent,
         reintegration_time: Minutes(31.024185018852748),
+        ..RedundancyParams::default()
     });
     let verification =
         zeroed(1).with_mttr_parts(Minutes(1.0), Minutes(0.0), Minutes(27.918133237068794));
