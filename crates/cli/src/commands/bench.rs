@@ -20,8 +20,8 @@ use rascad_core::generator::generate_block;
 use rascad_core::hierarchy::{interval_availability_exact, solve_spec};
 use rascad_core::sweep::{lin_space, log_space, sweep};
 use rascad_core::{certify_steady, certify_transient, CoreError, Engine, SolutionCertificate};
-use rascad_markov::transient::{self, TransientOptions};
-use rascad_markov::{Ctmc, MarkovError, SteadyStateMethod};
+use rascad_markov::transient;
+use rascad_markov::{Ctmc, MarkovError, SolveOptions, SteadyStateMethod};
 use rascad_obs::json::{self, Value};
 use rascad_obs::{Event, MetricsSummary, Sink, SpanTreeAgg};
 use rascad_sim::system_sim::{simulate_system, SystemSimOptions};
@@ -413,19 +413,15 @@ fn run_stages(profile: &BenchProfile) -> Result<WorkloadRun, CliError> {
                 transient_chain,
                 &p0,
                 profile.transient_hours,
-                TransientOptions::default(),
+                &SolveOptions::default(),
             )
             .map_err(markov_err("transient"))?,
         );
         Ok(())
     })?;
-    let tsol = transient::solve(
-        transient_chain,
-        &p0,
-        profile.transient_hours,
-        TransientOptions::default(),
-    )
-    .map_err(markov_err("transient"))?;
+    let tsol =
+        transient::solve(transient_chain, &p0, profile.transient_hours, &SolveOptions::default())
+            .map_err(markov_err("transient"))?;
     stage.cert = worst_certificate([certify_transient(&tsol)]);
     stages.push(stage);
 

@@ -32,12 +32,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use rascad_markov::{Ctmc, Fingerprint, SteadyStateMethod};
+use rascad_markov::{Ctmc, Fingerprint, SolveOptions, SteadyStateMethod};
 
 use crate::certify::{SolutionCertificate, Verdict};
 use crate::error::CoreError;
 use crate::generator::BlockModel;
-use crate::measures::{interval_measures, reliability_measures, BlockMeasures};
+use crate::measures::{interval_measures_with, reliability_measures_with, BlockMeasures};
 
 /// Mission-horizon measures of one chain, the per-block inputs to the
 /// system-level mission roll-up.
@@ -52,17 +52,19 @@ pub struct MissionMeasures {
 }
 
 /// Computes the mission measures of a model directly (the cached
-/// computation).
+/// computation) under `options`.
 ///
 /// # Errors
 ///
-/// Propagates solver errors from the transient/absorbing analyses.
+/// Propagates solver errors from the transient/absorbing analyses,
+/// including `MarkovError::Cancelled` when `options.cancel` trips.
 pub fn compute_mission_measures(
     model: &BlockModel,
     mission_hours: f64,
+    options: &SolveOptions,
 ) -> Result<MissionMeasures, CoreError> {
-    let iv = interval_measures(model, mission_hours)?;
-    let rel = reliability_measures(model, mission_hours)?;
+    let iv = interval_measures_with(model, mission_hours, options)?;
+    let rel = reliability_measures_with(model, mission_hours, options)?;
     Ok(MissionMeasures {
         interval_availability: iv.interval_availability,
         reliability_at_mission: rel.reliability_at_mission,
@@ -172,13 +174,6 @@ impl SolveCache {
         }
     }
 
-    /// Drops every stored entry (counters are kept).
-    pub fn clear(&self) {
-        let mut maps = self.maps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        maps.steady.clear();
-        maps.mission.clear();
-    }
-
     /// Drops only the entries inserted by solve-batch `generation` —
     /// the panic-invalidation path. A worker panic taints at most the
     /// batch it ran in; entries warmed by earlier (clean) batches stay
@@ -210,48 +205,21 @@ impl SolveCache {
         rascad_obs::counter_with("core.cache.misses", &[("kind", kind)], 1);
     }
 
-    /// Steady-state measures of `model`'s chain, served from cache when
-    /// an equal chain was solved with the same method before.
+    /// Steady-state measures of `model`'s chain and the
+    /// [`SolutionCertificate`] issued for the solve, served from cache
+    /// when an equal chain was solved with the same method before; the
+    /// engine batch `generation` tags any insert. Certificates are
+    /// stored with their entries, so a hit returns the certificate of
+    /// the original solve, bit-identical to a fresh one.
     ///
-    /// # Errors
-    ///
-    /// Propagates solver errors; errors are never cached.
-    pub fn steady(
-        &self,
-        model: &BlockModel,
-        method: SteadyStateMethod,
-    ) -> Result<BlockMeasures, CoreError> {
-        self.steady_certified(model, method).map(|(measures, _)| measures)
-    }
-
-    /// [`SolveCache::steady`] plus the [`SolutionCertificate`] issued
-    /// for the solve. Certificates are stored with their entries, so a
-    /// cache hit returns the certificate of the original solve,
-    /// bit-identical to a fresh one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver and certification errors; errors are never
-    /// cached.
-    pub fn steady_certified(
-        &self,
-        model: &BlockModel,
-        method: SteadyStateMethod,
-    ) -> Result<(BlockMeasures, SolutionCertificate), CoreError> {
-        self.steady_certified_with(model, method, &rascad_markov::SolveOptions::default(), 0)
-    }
-
-    /// [`SolveCache::steady_certified`] with caller-supplied solve
-    /// budgets and the engine batch `generation` tagging any insert.
     /// Hits are options-blind — a stored solution is bit-identical no
     /// matter what budget computed it — while misses solve under the
-    /// caller's deadline/cancellation budgets; errors (including
-    /// cancellations) are never cached.
+    /// caller's deadline/cancellation budgets.
     ///
     /// # Errors
     ///
-    /// Propagates solver and certification errors; errors are never
-    /// cached.
+    /// Propagates solver and certification errors; errors (including
+    /// cancellations) are never cached.
     pub fn steady_certified_with(
         &self,
         model: &BlockModel,
@@ -295,29 +263,19 @@ impl SolveCache {
 
     /// Mission measures of `model`'s chain over `(0, mission_hours)`,
     /// served from cache when an equal chain was analyzed over the same
-    /// horizon before.
+    /// horizon before; the engine batch `generation` tags any insert
+    /// (see [`SolveCache::evict_generation`]). Hits are options-blind;
+    /// misses compute under `options`.
     ///
     /// # Errors
     ///
-    /// Propagates solver errors; errors are never cached.
-    pub fn mission(
-        &self,
-        model: &BlockModel,
-        mission_hours: f64,
-    ) -> Result<MissionMeasures, CoreError> {
-        self.mission_with(model, mission_hours, 0)
-    }
-
-    /// [`SolveCache::mission`] with the engine batch `generation`
-    /// tagging any insert (see [`SolveCache::evict_generation`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors; errors are never cached.
+    /// Propagates solver errors; errors (including cancellations) are
+    /// never cached.
     pub fn mission_with(
         &self,
         model: &BlockModel,
         mission_hours: f64,
+        options: &SolveOptions,
         generation: u64,
     ) -> Result<MissionMeasures, CoreError> {
         let key = (model.chain.fingerprint(), mission_hours.to_bits());
@@ -331,7 +289,7 @@ impl SolveCache {
             }
         }
         self.note_miss("mission");
-        let measures = compute_mission_measures(model, mission_hours)?;
+        let measures = compute_mission_measures(model, mission_hours, options)?;
         let mut maps = self.maps.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if maps.mission.len() >= self.capacity {
             maps.mission.clear();
@@ -395,9 +353,10 @@ mod tests {
     #[test]
     fn second_lookup_hits_and_matches_fresh_solve() {
         let cache = SolveCache::new();
+        let opts = SolveOptions::default();
         let m = model(10_000.0);
-        let a = cache.steady(&m, SteadyStateMethod::Gth).unwrap();
-        let b = cache.steady(&m, SteadyStateMethod::Gth).unwrap();
+        let a = cache.steady_certified_with(&m, SteadyStateMethod::Gth, &opts, 0).unwrap().0;
+        let b = cache.steady_certified_with(&m, SteadyStateMethod::Gth, &opts, 0).unwrap().0;
         let fresh = steady_state_measures(&m, SteadyStateMethod::Gth).unwrap();
         assert_eq!(a, b);
         assert_eq!(a, fresh);
@@ -409,11 +368,12 @@ mod tests {
     #[test]
     fn different_method_or_chain_misses() {
         let cache = SolveCache::new();
+        let opts = SolveOptions::default();
         let m1 = model(10_000.0);
         let m2 = model(20_000.0);
-        cache.steady(&m1, SteadyStateMethod::Gth).unwrap();
-        cache.steady(&m1, SteadyStateMethod::Lu).unwrap();
-        cache.steady(&m2, SteadyStateMethod::Gth).unwrap();
+        cache.steady_certified_with(&m1, SteadyStateMethod::Gth, &opts, 0).unwrap();
+        cache.steady_certified_with(&m1, SteadyStateMethod::Lu, &opts, 0).unwrap();
+        cache.steady_certified_with(&m2, SteadyStateMethod::Gth, &opts, 0).unwrap();
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (0, 3));
         assert_eq!(s.entries, 3);
@@ -422,13 +382,14 @@ mod tests {
     #[test]
     fn mission_measures_cache_by_horizon() {
         let cache = SolveCache::new();
+        let opts = SolveOptions::default();
         let m = model(10_000.0);
-        let a = cache.mission(&m, 8760.0).unwrap();
-        let b = cache.mission(&m, 8760.0).unwrap();
-        let c = cache.mission(&m, 720.0).unwrap();
+        let a = cache.mission_with(&m, 8760.0, &opts, 0).unwrap();
+        let b = cache.mission_with(&m, 8760.0, &opts, 0).unwrap();
+        let c = cache.mission_with(&m, 720.0, &opts, 0).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
-        let fresh = compute_mission_measures(&m, 8760.0).unwrap();
+        let fresh = compute_mission_measures(&m, 8760.0, &opts).unwrap();
         assert_eq!(a, fresh);
         let s = cache.stats();
         assert_eq!((s.hits, s.misses), (1, 2));
@@ -437,19 +398,20 @@ mod tests {
     #[test]
     fn poisoned_entry_is_never_served() {
         let cache = SolveCache::new();
+        let opts = SolveOptions::default();
         let m = model(10_000.0);
         let wrong = model(77.0);
         let bogus = BlockMeasures::from_availability(0.123, 4.56);
         cache.poison_steady(&m, SteadyStateMethod::Gth, wrong.chain.clone(), bogus);
         // Equality guard rejects the mismatched chain: full solve, not
         // the bogus stored measures.
-        let got = cache.steady(&m, SteadyStateMethod::Gth).unwrap();
+        let got = cache.steady_certified_with(&m, SteadyStateMethod::Gth, &opts, 0).unwrap().0;
         let fresh = steady_state_measures(&m, SteadyStateMethod::Gth).unwrap();
         assert_eq!(got, fresh);
         assert_ne!(got, bogus);
         assert_eq!(cache.stats().misses, 1);
         // The poisoned entry was overwritten; the next lookup hits.
-        let again = cache.steady(&m, SteadyStateMethod::Gth).unwrap();
+        let again = cache.steady_certified_with(&m, SteadyStateMethod::Gth, &opts, 0).unwrap().0;
         assert_eq!(again, fresh);
         assert_eq!(cache.stats().hits, 1);
     }
@@ -457,9 +419,12 @@ mod tests {
     #[test]
     fn cache_hit_returns_the_original_certificate() {
         let cache = SolveCache::new();
+        let opts = SolveOptions::default();
         let m = model(10_000.0);
-        let (_, fresh_cert) = cache.steady_certified(&m, SteadyStateMethod::Gth).unwrap();
-        let (_, cached_cert) = cache.steady_certified(&m, SteadyStateMethod::Gth).unwrap();
+        let (_, fresh_cert) =
+            cache.steady_certified_with(&m, SteadyStateMethod::Gth, &opts, 0).unwrap();
+        let (_, cached_cert) =
+            cache.steady_certified_with(&m, SteadyStateMethod::Gth, &opts, 0).unwrap();
         assert_eq!(fresh_cert, cached_cert);
         assert_eq!(fresh_cert.verdict, Verdict::Ok);
         assert_eq!(fresh_cert.method, "gth");
@@ -469,15 +434,15 @@ mod tests {
     #[test]
     fn evict_generation_is_scoped_to_its_batch() {
         let cache = SolveCache::new();
+        let opts = SolveOptions::default();
         let warm = model(10_000.0);
         let tainted = model(20_000.0);
-        let opts = rascad_markov::SolveOptions::default();
         // Generation 1 warms the cache cleanly; generation 2 inserts
         // alongside a (hypothetical) panic.
         cache.steady_certified_with(&warm, SteadyStateMethod::Gth, &opts, 1).unwrap();
-        cache.mission_with(&warm, 8760.0, 1).unwrap();
+        cache.mission_with(&warm, 8760.0, &opts, 1).unwrap();
         cache.steady_certified_with(&tainted, SteadyStateMethod::Gth, &opts, 2).unwrap();
-        cache.mission_with(&tainted, 8760.0, 2).unwrap();
+        cache.mission_with(&tainted, 8760.0, &opts, 2).unwrap();
         assert_eq!(cache.stats().entries, 4);
         cache.evict_generation(2);
         assert_eq!(cache.stats().entries, 2);
@@ -489,15 +454,23 @@ mod tests {
     }
 
     #[test]
-    fn clear_empties_the_store() {
+    fn cancelled_mission_miss_is_never_cached() {
         let cache = SolveCache::new();
         let m = model(10_000.0);
-        cache.steady(&m, SteadyStateMethod::Gth).unwrap();
-        cache.mission(&m, 100.0).unwrap();
-        assert_eq!(cache.stats().entries, 2);
-        cache.clear();
+        let token = rascad_markov::CancelToken::new();
+        token.cancel();
+        let cancelled = SolveOptions { cancel: Some(token), ..SolveOptions::default() };
+        let err = cache.mission_with(&m, 8760.0, &cancelled, 0).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                CoreError::Markov { source: rascad_markov::MarkovError::Cancelled { .. }, .. }
+            ),
+            "{err:?}"
+        );
         assert_eq!(cache.stats().entries, 0);
-        cache.steady(&m, SteadyStateMethod::Gth).unwrap();
-        assert_eq!(cache.stats().misses, 3);
+        // Hits are options-blind: a stored entry serves any caller.
+        let fresh = cache.mission_with(&m, 8760.0, &SolveOptions::default(), 0).unwrap();
+        assert_eq!(cache.mission_with(&m, 8760.0, &cancelled, 0).unwrap(), fresh);
     }
 }

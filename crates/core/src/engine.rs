@@ -31,7 +31,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use rascad_markov::{MarkovError, SolveOptions, SteadyStateMethod};
+use rascad_markov::{SolveOptions, SteadyStateMethod};
 use rascad_spec::{Block, BlockParams, Diagram, GlobalParams, SystemSpec};
 
 use crate::cache::{CacheStats, MissionMeasures, SolveCache};
@@ -304,13 +304,6 @@ impl Engine {
         self.cache.as_ref().map(SolveCache::stats).unwrap_or_default()
     }
 
-    /// Drops all cached solutions (no-op without a cache).
-    pub fn clear_cache(&self) {
-        if let Some(c) = &self.cache {
-            c.clear();
-        }
-    }
-
     #[doc(hidden)]
     pub fn cache(&self) -> Option<&SolveCache> {
         self.cache.as_ref()
@@ -340,11 +333,12 @@ impl Engine {
         &self,
         model: &BlockModel,
         mission_hours: f64,
+        options: &SolveOptions,
         generation: u64,
     ) -> Result<MissionMeasures, CoreError> {
         match &self.cache {
-            Some(c) => c.mission_with(model, mission_hours, generation),
-            None => crate::cache::compute_mission_measures(model, mission_hours),
+            Some(c) => c.mission_with(model, mission_hours, options, generation),
+            None => crate::cache::compute_mission_measures(model, mission_hours, options),
         }
     }
 
@@ -628,13 +622,7 @@ impl Engine {
             }
             _ => self.cached_steady(&model, method, options, generation)?,
         };
-        if options.cancel.as_ref().is_some_and(rascad_markov::CancelToken::is_cancelled) {
-            return Err(CoreError::Markov {
-                block: model.name.clone(),
-                source: MarkovError::Cancelled { method: "mission", iterations: 0 },
-            });
-        }
-        let mission_measures = self.cached_mission(&model, mission, generation)?;
+        let mission_measures = self.cached_mission(&model, mission, options, generation)?;
         Ok(SolvedBlock {
             level,
             path: path.to_string(),

@@ -318,7 +318,7 @@ pub fn interval_availability_exact(
                 &model.chain,
                 &p0,
                 &times,
-                rascad_markov::TransientOptions::default(),
+                &rascad_markov::SolveOptions::default(),
             )
             .map_err(|source| CoreError::Markov { block: block.params.name.clone(), source })?;
             for (acc, sol) in product.iter_mut().zip(&sols) {

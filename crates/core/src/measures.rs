@@ -5,7 +5,7 @@
 //! * reliability model: MTTF, reliability at `T`, interval failure rate
 //!   for `(0, T)`, hazard rate.
 
-use rascad_markov::{absorbing, transient, SteadyStateMethod, TransientOptions};
+use rascad_markov::{absorbing, transient, MarkovError, SolveOptions, SteadyStateMethod};
 
 use crate::certify::SolutionCertificate;
 use crate::error::CoreError;
@@ -91,25 +91,20 @@ pub struct ReliabilityMeasures {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Markov`] if the chain cannot be solved.
+/// Returns [`CoreError::Markov`] if the chain cannot be solved, or
+/// [`CoreError::Certification`] if it solves but fails certification.
 pub fn steady_state_measures(
     model: &BlockModel,
     method: SteadyStateMethod,
 ) -> Result<BlockMeasures, CoreError> {
-    steady_state_measures_forced(model, method, None)
-}
-
-pub(crate) fn steady_state_measures_forced(
-    model: &BlockModel,
-    method: SteadyStateMethod,
-    forced: Option<crate::solve::ForcedFailure>,
-) -> Result<BlockMeasures, CoreError> {
-    steady_state_measures_certified(model, method, &rascad_markov::SolveOptions::default(), forced)
+    steady_state_measures_certified(model, method, &SolveOptions::default(), None)
         .map(|(measures, _)| measures)
 }
 
-/// [`steady_state_measures`] plus the [`SolutionCertificate`] the
-/// residual checks issue for the solved distribution.
+/// [`steady_state_measures`] under caller-supplied solve budgets, plus
+/// the [`SolutionCertificate`] the residual checks issue for the solved
+/// distribution. Long-lived callers (the serve daemon) use it to carry
+/// per-request deadlines and cancellation tokens into the solver loops.
 ///
 /// A [`crate::certify::Verdict::Fail`] certificate is an error
 /// ([`CoreError::Certification`]): a solve whose result flunks the
@@ -119,29 +114,14 @@ pub(crate) fn steady_state_measures_forced(
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::Markov`] if the chain cannot be solved, or
-/// [`CoreError::Certification`] if it solves but fails certification.
-pub fn steady_state_measures_with_certificate(
-    model: &BlockModel,
-    method: SteadyStateMethod,
-) -> Result<(BlockMeasures, SolutionCertificate), CoreError> {
-    steady_state_measures_certified(model, method, &rascad_markov::SolveOptions::default(), None)
-}
-
-/// [`steady_state_measures_with_certificate`] with caller-supplied
-/// solve budgets — the entry point long-lived callers (the serve
-/// daemon) use to propagate per-request deadlines and cancellation
-/// tokens into the solver loops.
-///
-/// # Errors
-///
-/// As [`steady_state_measures_with_certificate`], plus
-/// [`CoreError::Markov`] wrapping `MarkovError::Cancelled` when the
-/// request's cancellation token trips mid-solve.
+/// Returns [`CoreError::Markov`] if the chain cannot be solved (wrapping
+/// `MarkovError::Cancelled` when the request's token trips mid-solve),
+/// or [`CoreError::Certification`] if it solves but fails
+/// certification.
 pub fn steady_state_measures_with_certificate_opts(
     model: &BlockModel,
     method: SteadyStateMethod,
-    options: &rascad_markov::SolveOptions,
+    options: &SolveOptions,
 ) -> Result<(BlockMeasures, SolutionCertificate), CoreError> {
     steady_state_measures_certified(model, method, options, None)
 }
@@ -149,7 +129,7 @@ pub fn steady_state_measures_with_certificate_opts(
 pub(crate) fn steady_state_measures_certified(
     model: &BlockModel,
     method: SteadyStateMethod,
-    options: &rascad_markov::SolveOptions,
+    options: &SolveOptions,
     forced: Option<crate::solve::ForcedFailure>,
 ) -> Result<(BlockMeasures, SolutionCertificate), CoreError> {
     let outcome = crate::solve::steady_state_ladder_outcome(&model.chain, method, options, forced)
@@ -174,7 +154,8 @@ pub(crate) fn steady_state_measures_certified(
     Ok((BlockMeasures::from_availability(availability, failure_rate), certificate))
 }
 
-/// Computes interval measures over `(0, horizon)` starting from `Ok`.
+/// Computes interval measures over `(0, horizon)` starting from `Ok`,
+/// with default solve options.
 ///
 /// # Errors
 ///
@@ -184,9 +165,19 @@ pub fn interval_measures(
     model: &BlockModel,
     horizon_hours: f64,
 ) -> Result<IntervalMeasures, CoreError> {
+    interval_measures_with(model, horizon_hours, &SolveOptions::default())
+}
+
+/// [`interval_measures`] under `options`; a tripped `options.cancel`
+/// returns [`CoreError::Markov`] wrapping `MarkovError::Cancelled`.
+pub(crate) fn interval_measures_with(
+    model: &BlockModel,
+    horizon_hours: f64,
+    options: &SolveOptions,
+) -> Result<IntervalMeasures, CoreError> {
     let mut p0 = vec![0.0; model.chain.len()];
     p0[model.ok_state()] = 1.0;
-    let sol = transient::solve(&model.chain, &p0, horizon_hours, TransientOptions::default())
+    let sol = transient::solve(&model.chain, &p0, horizon_hours, options)
         .map_err(|source| CoreError::Markov { block: model.name.clone(), source })?;
     Ok(IntervalMeasures {
         horizon_hours,
@@ -195,7 +186,8 @@ pub fn interval_measures(
     })
 }
 
-/// Computes reliability measures with the mission time `T`.
+/// Computes reliability measures with the mission time `T`, with
+/// default solve options.
 ///
 /// # Errors
 ///
@@ -205,7 +197,22 @@ pub fn reliability_measures(
     model: &BlockModel,
     mission_hours: f64,
 ) -> Result<ReliabilityMeasures, CoreError> {
+    reliability_measures_with(model, mission_hours, &SolveOptions::default())
+}
+
+/// [`reliability_measures`] under `options`; a tripped `options.cancel`
+/// returns [`CoreError::Markov`] wrapping `MarkovError::Cancelled`.
+pub(crate) fn reliability_measures_with(
+    model: &BlockModel,
+    mission_hours: f64,
+    options: &SolveOptions,
+) -> Result<ReliabilityMeasures, CoreError> {
     let wrap = |source| CoreError::Markov { block: model.name.clone(), source };
+    // The dense MTTF solve cannot stop midway, so the token is checked
+    // before it starts.
+    if options.cancelled() {
+        return Err(wrap(MarkovError::Cancelled { method: "mttf", iterations: 0 }));
+    }
     let mttf = absorbing::mttf(&model.chain, model.ok_state()).map_err(wrap)?;
     // Sample R at T and slightly past it for the hazard estimate.
     let dt = (mission_hours * 1e-3).max(1e-6);
@@ -213,19 +220,13 @@ pub fn reliability_measures(
         &model.chain,
         model.ok_state(),
         &[mission_hours, mission_hours + dt],
+        options,
     )
     .map_err(wrap)?;
-    let r = curve.reliability[0];
     Ok(ReliabilityMeasures {
-        mttf_hours: mttf.mttf,
-        reliability_at_mission: r,
-        interval_failure_rate: if r > 0.0 && mission_hours > 0.0 {
-            -r.ln() / mission_hours
-        } else if mission_hours > 0.0 {
-            f64::INFINITY
-        } else {
-            0.0
-        },
+        mttf_hours: mttf,
+        reliability_at_mission: curve.reliability[0],
+        interval_failure_rate: curve.interval_failure_rate[0],
         hazard_rate_at_mission: curve.hazard_rate[0],
     })
 }

@@ -99,7 +99,7 @@ pub fn interval_capacity(model: &BlockModel, horizon_hours: f64) -> Result<f64, 
         &cap,
         &p0,
         horizon_hours,
-        rascad_markov::TransientOptions::default(),
+        &rascad_markov::SolveOptions::default(),
     )
     .map_err(|source| CoreError::Markov { block: model.name.clone(), source })?;
     Ok(sol.interval_reward)

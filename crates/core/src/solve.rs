@@ -172,7 +172,7 @@ pub fn steady_state_ladder(
     method: SteadyStateMethod,
     options: &SolveOptions,
 ) -> Result<Vec<f64>, MarkovError> {
-    steady_state_ladder_forced(chain, method, options, None)
+    steady_state_ladder_outcome(chain, method, options, None).map(|o| o.pi)
 }
 
 /// A successful ladder solve plus its provenance: which rung won and
@@ -201,15 +201,6 @@ fn describe_attempt(a: &SolveAttempt) -> String {
         (MarkovError::Singular, ..) => format!("{}: singular", a.method),
         (e, ..) => format!("{}: {e}", a.method),
     }
-}
-
-pub(crate) fn steady_state_ladder_forced(
-    chain: &Ctmc,
-    method: SteadyStateMethod,
-    options: &SolveOptions,
-    forced: Option<ForcedFailure>,
-) -> Result<Vec<f64>, MarkovError> {
-    steady_state_ladder_outcome(chain, method, options, forced).map(|o| o.pi)
 }
 
 pub(crate) fn steady_state_ladder_outcome(
@@ -375,7 +366,7 @@ mod tests {
     fn exhausted_ladder_reports_every_rung() {
         let chain = two_state();
         let opts = SolveOptions::default();
-        let err = steady_state_ladder_forced(
+        let err = steady_state_ladder_outcome(
             &chain,
             SteadyStateMethod::Power,
             &opts,
@@ -398,7 +389,7 @@ mod tests {
     fn forced_timeouts_exhaust_every_rung_without_waiting() {
         let chain = two_state();
         let t0 = std::time::Instant::now();
-        let err = steady_state_ladder_forced(
+        let err = steady_state_ladder_outcome(
             &chain,
             SteadyStateMethod::Power,
             &SolveOptions::default(),
@@ -422,7 +413,7 @@ mod tests {
         // GTH is the last rung: a forced failure there must surface as
         // plain Singular, exactly as before the ladder existed.
         let chain = two_state();
-        let err = steady_state_ladder_forced(
+        let err = steady_state_ladder_outcome(
             &chain,
             SteadyStateMethod::Gth,
             &SolveOptions::default(),
@@ -514,7 +505,7 @@ mod tests {
         // sparse and power rungs in the trail — falling over to a dense
         // factorization at this size would just become a timeout.
         let chain = birth_death(DENSE_STATE_CAP + 10);
-        let err = steady_state_ladder_forced(
+        let err = steady_state_ladder_outcome(
             &chain,
             SteadyStateMethod::Gth,
             &SolveOptions::default(),

@@ -7,10 +7,11 @@
 
 use rascad_core::{BlockOutcome, CoreError, Engine, EngineError, FailedBlock, SystemSolution};
 use rascad_fault::{FaultKind, FaultPlan, PlanGuard};
-use rascad_markov::{MarkovError, SteadyStateMethod};
+use rascad_markov::{CancelToken, MarkovError, SolveOptions, SteadyStateMethod};
 use rascad_spec::units::Hours;
 use rascad_spec::{Block, BlockParams, Diagram, GlobalParams, SystemSpec};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// The fault registry is process-global, so tests that install plans
 /// must not interleave.
@@ -277,4 +278,44 @@ fn failed_block_is_well_formed() {
     let f: &FailedBlock = &sol.failed[0];
     assert_eq!((f.path.as_str(), f.level, f.walk_index), ("Sys/A", 1, 0));
     assert!(f.error.to_string().contains("panicked"), "{}", f.error);
+}
+
+#[test]
+fn a_50_ms_deadline_holds_through_the_mission_phase() {
+    let _l = lock();
+    // One 1000-unit, 900-minimum block (1001 states) at the default
+    // mission: its mission transient runs for over a second unbounded.
+    let mut root = Diagram::new("Pool");
+    root.push(BlockParams::new("Units", 1000, 900).with_mtbf(Hours(100_000.0)));
+    let spec = SystemSpec::new(root, GlobalParams::default());
+    let budget = Duration::from_millis(50);
+    let cancelled = |e: &CoreError| {
+        matches!(e, CoreError::Markov { source: MarkovError::Cancelled { .. }, .. })
+    };
+    for best_effort in [false, true] {
+        let t0 = Instant::now();
+        let options = SolveOptions {
+            cancel: Some(CancelToken::with_deadline(t0 + budget)),
+            ..SolveOptions::default()
+        };
+        let engine = Engine::new();
+        if best_effort {
+            let sol = engine
+                .solve_spec_best_effort_with_options(&spec, SteadyStateMethod::Gth, &options)
+                .unwrap();
+            assert_eq!(sol.failed.len(), 1);
+            assert_eq!(sol.failed[0].path, "Pool/Units");
+            assert!(cancelled(&sol.failed[0].error), "{:?}", sol.failed[0].error);
+        } else {
+            let err = engine
+                .solve_spec_with_options(&spec, SteadyStateMethod::Gth, &options)
+                .unwrap_err();
+            assert!(cancelled(&err), "{err:?}");
+        }
+        let elapsed = t0.elapsed();
+        assert!(
+            elapsed < 2 * budget + Duration::from_millis(25),
+            "best effort {best_effort}: {elapsed:?}"
+        );
+    }
 }

@@ -187,7 +187,6 @@ enum Model {
 pub struct ModelRegistry {
     models: BTreeMap<String, Model>,
     parameters: HashMap<String, f64>,
-    method: SteadyStateMethod,
 }
 
 impl ModelRegistry {
@@ -195,12 +194,6 @@ impl ModelRegistry {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Selects the steady-state method used for Markov models.
-    pub fn set_method(&mut self, method: SteadyStateMethod) -> &mut Self {
-        self.method = method;
-        self
     }
 
     /// Sets (or overwrites) a named parameter.
@@ -344,7 +337,7 @@ impl ModelRegistry {
         let chain =
             b.build().map_err(|source| GmbError::Markov { model: name.to_string(), source })?;
         let pi = chain
-            .steady_state(self.method)
+            .steady_state(SteadyStateMethod::Gth)
             .map_err(|source| GmbError::Markov { model: name.to_string(), source })?;
         Ok(chain.expected_reward(&pi))
     }
@@ -472,7 +465,7 @@ impl ModelRegistry {
             &chain,
             &p0,
             horizon,
-            rascad_markov::TransientOptions::default(),
+            &rascad_markov::SolveOptions::default(),
         )
         .map_err(|source| GmbError::Markov { model: name.to_string(), source })?;
         Ok(sol.interval_reward)
@@ -486,9 +479,8 @@ impl ModelRegistry {
     /// analysis errors.
     pub fn mttf(&self, name: &str) -> Result<f64, GmbError> {
         let chain = self.build_markov(name)?;
-        let analysis = rascad_markov::absorbing::mttf(&chain, 0)
-            .map_err(|source| GmbError::Markov { model: name.to_string(), source })?;
-        Ok(analysis.mttf)
+        rascad_markov::absorbing::mttf(&chain, 0)
+            .map_err(|source| GmbError::Markov { model: name.to_string(), source })
     }
 
     /// Models (transitively) referenced by `name`, in no particular

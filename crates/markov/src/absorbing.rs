@@ -6,21 +6,10 @@
 //! making every down state absorbing: the time to absorption is the time
 //! to first system failure.
 
-use crate::ctmc::{Ctmc, CtmcBuilder, StateId};
+use crate::ctmc::{Ctmc, CtmcBuilder, SolveOptions, StateId};
 use crate::dense::DenseMatrix;
 use crate::error::MarkovError;
-use crate::transient::{self, TransientOptions};
-
-/// Reliability measures of a chain whose down states are absorbing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AbsorbingAnalysis {
-    /// Mean time to (first) failure from the given initial distribution.
-    pub mttf: f64,
-    /// Ids of the transient (up) states in the original chain.
-    pub up_states: Vec<StateId>,
-    /// Ids of the absorbing (down) states in the original chain.
-    pub down_states: Vec<StateId>,
-}
+use crate::transient;
 
 /// A sampled reliability curve `R(t)` with derived failure measures.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,19 +44,20 @@ pub fn make_absorbing(chain: &Ctmc) -> Ctmc {
     b.build().expect("absorbing variant of a valid chain is valid")
 }
 
-/// Computes the MTTF from an initial distribution concentrated on state
-/// `start` (usually the all-working `Ok` state).
-///
-/// Solves `(-Q_UU) m = 1` where `Q_UU` is the generator restricted to up
-/// states and `m` the vector of expected absorption times.
-///
-/// # Errors
-///
-/// * [`MarkovError::MissingStates`] if the chain has no up or no down
-///   states, or if `start` is not an up state.
-/// * [`MarkovError::Singular`] if some up state cannot reach any down
-///   state (MTTF would be infinite).
-pub fn mttf(chain: &Ctmc, start: StateId) -> Result<AbsorbingAnalysis, MarkovError> {
+/// The up (transient) block of the absorbing chain from `start`: what
+/// [`mttf`] and [`failure_modes`] both solve against.
+struct UpBlock {
+    down_states: Vec<StateId>,
+    /// Position of each chain state among the up states
+    /// (`usize::MAX` for down states).
+    pos: Vec<usize>,
+    /// Position of `start` among the up states.
+    start: usize,
+    /// `−Q_UU`, the generator restricted to the up states, negated.
+    a: DenseMatrix,
+}
+
+fn up_block(chain: &Ctmc, start: StateId) -> Result<UpBlock, MarkovError> {
     let up_states = chain.up_states();
     let down_states = chain.down_states();
     if up_states.is_empty() {
@@ -81,14 +71,12 @@ pub fn mttf(chain: &Ctmc, start: StateId) -> Result<AbsorbingAnalysis, MarkovErr
             what: format!("start state {start} is not an up state"),
         });
     };
-
-    // Index map original -> position among up states.
     let mut pos = vec![usize::MAX; chain.len()];
     for (i, &s) in up_states.iter().enumerate() {
         pos[s] = i;
     }
     let nu = up_states.len();
-    let mut a = DenseMatrix::zeros(nu, nu); // -Q_UU
+    let mut a = DenseMatrix::zeros(nu, nu);
     for t in chain.transitions() {
         let pf = pos[t.from];
         if pf == usize::MAX {
@@ -100,20 +88,38 @@ pub fn mttf(chain: &Ctmc, start: StateId) -> Result<AbsorbingAnalysis, MarkovErr
             a[(pf, pt)] -= t.rate;
         }
     }
-    let ones = vec![1.0; nu];
-    let m = a.solve(&ones)?;
-    let value = m[start_pos];
+    Ok(UpBlock { down_states, pos, start: start_pos, a })
+}
+
+/// Computes the MTTF, in the chain's time unit, from an initial
+/// distribution concentrated on state `start` (usually the all-working
+/// `Ok` state).
+///
+/// Solves `(-Q_UU) m = 1` where `Q_UU` is the generator restricted to up
+/// states and `m` the vector of expected absorption times.
+///
+/// # Errors
+///
+/// * [`MarkovError::MissingStates`] if the chain has no up or no down
+///   states, or if `start` is not an up state.
+/// * [`MarkovError::Singular`] if some up state cannot reach any down
+///   state (MTTF would be infinite).
+pub fn mttf(chain: &Ctmc, start: StateId) -> Result<f64, MarkovError> {
+    let block = up_block(chain, start)?;
+    let m = block.a.solve(&vec![1.0; block.a.rows()])?;
+    let value = m[block.start];
     if !value.is_finite() || value < 0.0 {
         return Err(MarkovError::Singular);
     }
-    Ok(AbsorbingAnalysis { mttf: value, up_states, down_states })
+    Ok(value)
 }
 
 /// Probability that the *first* system failure lands in each down
 /// state, starting from `start` — failure-mode attribution.
 ///
-/// Solves `B = (−Q_UU)⁻¹ Q_UD` row by row: entry `(u, d)` is the
-/// probability of being absorbed in down state `d` from up state `u`.
+/// Solves `B = (−Q_UU)⁻¹ Q_UD` column by column from one factorization:
+/// entry `(u, d)` is the probability of being absorbed in down state `d`
+/// from up state `u`.
 ///
 /// Returns `(down_state_id, probability)` pairs summing to 1, sorted by
 /// probability descending.
@@ -122,52 +128,18 @@ pub fn mttf(chain: &Ctmc, start: StateId) -> Result<AbsorbingAnalysis, MarkovErr
 ///
 /// Same conditions as [`mttf`].
 pub fn failure_modes(chain: &Ctmc, start: StateId) -> Result<Vec<(StateId, f64)>, MarkovError> {
-    let up_states = chain.up_states();
-    let down_states = chain.down_states();
-    if up_states.is_empty() {
-        return Err(MarkovError::MissingStates { what: "no up states".into() });
-    }
-    if down_states.is_empty() {
-        return Err(MarkovError::MissingStates { what: "no down (absorbing) states".into() });
-    }
-    let Some(start_pos) = up_states.iter().position(|&s| s == start) else {
-        return Err(MarkovError::MissingStates {
-            what: format!("start state {start} is not an up state"),
-        });
-    };
-
-    let mut pos = vec![usize::MAX; chain.len()];
-    for (i, &s) in up_states.iter().enumerate() {
-        pos[s] = i;
-    }
-    let nu = up_states.len();
-    let mut a = DenseMatrix::zeros(nu, nu); // -Q_UU
-    for t in chain.transitions() {
-        let pf = pos[t.from];
-        if pf == usize::MAX {
-            continue;
-        }
-        a[(pf, pf)] += t.rate;
-        let pt = pos[t.to];
-        if pt != usize::MAX {
-            a[(pf, pt)] -= t.rate;
-        }
-    }
-
-    let mut out = Vec::with_capacity(down_states.len());
-    for &d in &down_states {
+    let block = up_block(chain, start)?;
+    let lu = block.a.factor()?;
+    let mut out = Vec::with_capacity(block.down_states.len());
+    for &d in &block.down_states {
         // Right-hand side: rates from each up state into d.
-        let mut b = vec![0.0; nu];
+        let mut b = vec![0.0; block.a.rows()];
         for t in chain.transitions() {
-            if t.to == d {
-                let pf = pos[t.from];
-                if pf != usize::MAX {
-                    b[pf] += t.rate;
-                }
+            if t.to == d && block.pos[t.from] != usize::MAX {
+                b[block.pos[t.from]] += t.rate;
             }
         }
-        let x = a.solve(&b)?;
-        out.push((d, x[start_pos].clamp(0.0, 1.0)));
+        out.push((d, lu.solve(&b)[block.start].clamp(0.0, 1.0)));
     }
     // Normalize away roundoff and sort by contribution.
     let total: f64 = out.iter().map(|&(_, p)| p).sum();
@@ -180,28 +152,20 @@ pub fn failure_modes(chain: &Ctmc, start: StateId) -> Result<Vec<(StateId, f64)>
     Ok(out)
 }
 
-/// Reliability `R(t)` at a single mission time, starting from `start`.
-///
-/// # Errors
-///
-/// Propagates [`MarkovError`] from the transient solver, and
-/// [`MarkovError::MissingStates`] as in [`mttf`].
-pub fn reliability_at(chain: &Ctmc, start: StateId, t: f64) -> Result<f64, MarkovError> {
-    let curve = reliability_curve(chain, start, &[t])?;
-    Ok(curve.reliability[0])
-}
-
-/// Samples the reliability curve at the given times.
+/// Samples the reliability curve at the given times, in one
+/// uniformization pass of the absorbing chain.
 ///
 /// # Errors
 ///
 /// * [`MarkovError::MissingStates`] if the chain has no down states or
 ///   `start` is not an up state.
-/// * Errors from the transient solver for invalid times.
+/// * Errors from [`transient::solve_grid`] for invalid times, and
+///   [`MarkovError::Cancelled`] when `options.cancel` trips.
 pub fn reliability_curve(
     chain: &Ctmc,
     start: StateId,
     times: &[f64],
+    options: &SolveOptions,
 ) -> Result<ReliabilityCurve, MarkovError> {
     if chain.down_states().is_empty() {
         return Err(MarkovError::MissingStates { what: "no down states".into() });
@@ -214,13 +178,12 @@ pub fn reliability_curve(
     let abs = make_absorbing(chain);
     let mut p0 = vec![0.0; abs.len()];
     p0[start] = 1.0;
-    let mut rel = Vec::with_capacity(times.len());
-    for &t in times {
-        let sol = transient::solve(&abs, &p0, t, TransientOptions::default())?;
-        // R(t) = probability of still being in an up state.
-        let r: f64 = abs.up_states().iter().map(|&s| sol.probabilities[s]).sum();
-        rel.push(r.clamp(0.0, 1.0));
-    }
+    let up = abs.up_states();
+    // R(t) = probability of still being in an up state.
+    let rel: Vec<f64> = transient::solve_grid(&abs, &p0, times, options)?
+        .iter()
+        .map(|sol| up.iter().map(|&s| sol.probabilities[s]).sum::<f64>().clamp(0.0, 1.0))
+        .collect();
 
     let interval_failure_rate = times
         .iter()
@@ -273,10 +236,7 @@ mod tests {
     #[test]
     fn mttf_of_single_component_is_one_over_lambda() {
         let c = two_state(0.01, 5.0);
-        let a = mttf(&c, 0).unwrap();
-        assert!((a.mttf - 100.0).abs() < 1e-9);
-        assert_eq!(a.up_states, vec![0]);
-        assert_eq!(a.down_states, vec![1]);
+        assert!((mttf(&c, 0).unwrap() - 100.0).abs() < 1e-9);
     }
 
     #[test]
@@ -292,8 +252,7 @@ mod tests {
         b.add_transition(s1, s0, l);
         b.add_transition(s0, s2, 1.0); // repair (ignored by reliability model)
         let c = b.build().unwrap();
-        let a = mttf(&c, s2).unwrap();
-        assert!((a.mttf - (1.0 / (2.0 * l) + 1.0 / l)).abs() < 1e-9);
+        assert!((mttf(&c, s2).unwrap() - (1.0 / (2.0 * l) + 1.0 / l)).abs() < 1e-9);
     }
 
     #[test]
@@ -310,8 +269,7 @@ mod tests {
         b.add_transition(s1, s0, l);
         b.add_transition(s0, s1, 1.0);
         let c = b.build().unwrap();
-        let a = mttf(&c, s2).unwrap();
-        assert!((a.mttf - (3.0 * l + mu) / (2.0 * l * l)).abs() < 1e-7);
+        assert!((mttf(&c, s2).unwrap() - (3.0 * l + mu) / (2.0 * l * l)).abs() < 1e-7);
     }
 
     #[test]
@@ -319,7 +277,7 @@ mod tests {
         let l = 0.05;
         let c = two_state(l, 3.0);
         let times = [1.0, 5.0, 10.0, 50.0];
-        let curve = reliability_curve(&c, 0, &times).unwrap();
+        let curve = reliability_curve(&c, 0, &times, &SolveOptions::default()).unwrap();
         for (i, &t) in times.iter().enumerate() {
             assert!((curve.reliability[i] - (-l * t).exp()).abs() < 1e-10);
             // Constant hazard = lambda; interval failure rate = lambda.
@@ -328,7 +286,7 @@ mod tests {
         // Hazard estimates need a fine grid: with constant hazard l the
         // finite-difference estimate is (1 - e^{-l dt}) / dt.
         let fine: Vec<f64> = (0..20).map(|i| i as f64 * 0.1).collect();
-        let fine_curve = reliability_curve(&c, 0, &fine).unwrap();
+        let fine_curve = reliability_curve(&c, 0, &fine, &SolveOptions::default()).unwrap();
         for &h in &fine_curve.hazard_rate {
             assert!((h - l).abs() < l * 0.01, "h={h}");
         }
@@ -337,7 +295,8 @@ mod tests {
     #[test]
     fn reliability_at_zero_is_one() {
         let c = two_state(0.1, 1.0);
-        assert!((reliability_at(&c, 0, 0.0).unwrap() - 1.0).abs() < 1e-15);
+        let curve = reliability_curve(&c, 0, &[0.0], &SolveOptions::default()).unwrap();
+        assert!((curve.reliability[0] - 1.0).abs() < 1e-15);
     }
 
     #[test]
@@ -350,7 +309,7 @@ mod tests {
         let chain = b.build().unwrap();
         assert!(matches!(mttf(&chain, 0), Err(MarkovError::MissingStates { .. })));
         assert!(matches!(
-            reliability_curve(&chain, 0, &[1.0]),
+            reliability_curve(&chain, 0, &[1.0], &SolveOptions::default()),
             Err(MarkovError::MissingStates { .. })
         ));
     }
@@ -359,7 +318,10 @@ mod tests {
     fn start_must_be_up() {
         let c = two_state(0.1, 1.0);
         assert!(matches!(mttf(&c, 1), Err(MarkovError::MissingStates { .. })));
-        assert!(matches!(reliability_curve(&c, 1, &[1.0]), Err(MarkovError::MissingStates { .. })));
+        assert!(matches!(
+            reliability_curve(&c, 1, &[1.0], &SolveOptions::default()),
+            Err(MarkovError::MissingStates { .. })
+        ));
     }
 
     #[test]
@@ -432,9 +394,9 @@ mod tests {
         b.add_transition(s1, s0, l);
         b.add_transition(s0, s2, 0.5);
         let c = b.build().unwrap();
-        let analytic = mttf(&c, 0).unwrap().mttf;
+        let analytic = mttf(&c, 0).unwrap();
         let times: Vec<f64> = (0..=4000).map(|i| i as f64 * 0.05).collect();
-        let curve = reliability_curve(&c, 0, &times).unwrap();
+        let curve = reliability_curve(&c, 0, &times, &SolveOptions::default()).unwrap();
         let mut integral = 0.0;
         for i in 1..times.len() {
             integral += 0.5 * (curve.reliability[i] + curve.reliability[i - 1]) * 0.05;

@@ -168,7 +168,8 @@ impl SolveOptions {
 
     /// Whether the caller's cancellation token has tripped (explicitly
     /// or via its deadline). Checked wherever the wall clock is.
-    pub(crate) fn cancelled(&self) -> bool {
+    #[must_use]
+    pub fn cancelled(&self) -> bool {
         self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 

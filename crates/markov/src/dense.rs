@@ -70,11 +70,6 @@ impl DenseMatrix {
         &self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Returns the `i`-th row as a mutable slice.
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
     /// Matrix transpose.
     #[must_use]
     pub fn transpose(&self) -> DenseMatrix {

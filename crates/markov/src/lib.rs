@@ -73,7 +73,7 @@ pub mod semi;
 pub mod sensitivity;
 pub mod transient;
 
-pub use absorbing::{AbsorbingAnalysis, ReliabilityCurve};
+pub use absorbing::ReliabilityCurve;
 pub use ctmc::{CancelToken, Ctmc, CtmcBuilder, SolveOptions, StateId, SteadyStateMethod};
 pub use dtmc::{Dtmc, DtmcBuilder};
 pub use error::{MarkovError, SolveAttempt};
@@ -83,4 +83,4 @@ pub use lump::{
 };
 pub use matrix::SparseMatrix;
 pub use semi::{SemiMarkov, SemiMarkovBuilder, SojournDistribution};
-pub use transient::{TransientOptions, TransientSolution};
+pub use transient::TransientSolution;

@@ -520,7 +520,7 @@ mod tests {
 
     #[test]
     fn erlang_expansion_improves_transient_fidelity() {
-        use crate::transient::{self, TransientOptions};
+        use crate::transient;
         // Deterministic 2h downtime starting from "down": with many
         // phases, P(still down at t = 1h) stays near 1 and P(down at
         // t = 3h) near 0; with one phase both are washed out.
@@ -539,7 +539,7 @@ mod tests {
         p0_fuzzy[fuzzy.state_by_label("down").unwrap()] = 1.0;
 
         let at = |chain: &crate::ctmc::Ctmc, p0: &[f64], t: f64| {
-            transient::solve(chain, p0, t, TransientOptions::default()).unwrap().point_reward
+            transient::solve(chain, p0, t, &crate::SolveOptions::default()).unwrap().point_reward
         };
         // Still down at t=1 with high probability only for the sharp model.
         assert!(at(&sharp, &p0_sharp, 1.0) < 0.05);

@@ -8,26 +8,26 @@
 //! the standard one-extra-term recurrence. All terms are non-negative,
 //! so the method is numerically stable for stiff availability chains.
 
-use crate::ctmc::Ctmc;
+use crate::ctmc::{Ctmc, SolveOptions};
 use crate::error::MarkovError;
 use crate::matrix::SparseMatrix;
 
-/// Options for the uniformization solver.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransientOptions {
-    /// Truncation error bound for the Poisson series (total mass left
-    /// out). Default `1e-12`.
-    pub epsilon: f64,
-    /// Hard cap on the number of series terms (guards against absurd
-    /// `Λt`). Default `10_000_000`.
-    pub max_terms: usize,
-}
+/// Truncation error bound of each time's Poisson series: the total
+/// probability mass the series may leave out.
+const EPSILON: f64 = 1e-12;
 
-impl Default for TransientOptions {
-    fn default() -> Self {
-        TransientOptions { epsilon: 1e-12, max_terms: 10_000_000 }
-    }
-}
+/// Hard cap on the number of series terms per time (guards against
+/// absurd `Λt`).
+const MAX_TERMS: usize = 10_000_000;
+
+/// Series terms between two cancellation checks. On the 1001-state
+/// `k = 900` pool block, 64 terms take about 0.16 ms in a release
+/// build and 2 ms in a debug build.
+const TERM_CHECK_STRIDE: usize = 64;
+
+/// Poisson weight and tail entries computed between two cancellation
+/// checks, before the first series term.
+const PRECOMPUTE_CHECK_STRIDE: usize = 1 << 16;
 
 /// Result of a transient solve at one time point.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,303 +81,214 @@ pub fn uniformize(chain: &Ctmc) -> Uniformized {
 }
 
 /// Solves for state probabilities and rewards at time `t`, starting from
-/// the distribution `p0`.
+/// the distribution `p0`: the one-point [`solve_grid`].
 ///
 /// # Errors
 ///
-/// * [`MarkovError::InvalidOption`] for negative `t`, bad `epsilon`, or a
-///   series that exceeds `max_terms`.
-/// * [`MarkovError::InvalidProbability`] if `p0` is not a distribution.
+/// As [`solve_grid`].
 pub fn solve(
     chain: &Ctmc,
     p0: &[f64],
     t: f64,
-    opts: TransientOptions,
+    options: &SolveOptions,
 ) -> Result<TransientSolution, MarkovError> {
-    check_distribution(p0, chain.len())?;
-    if !t.is_finite() || t < 0.0 {
-        return Err(MarkovError::InvalidOption { what: format!("time {t} must be >= 0") });
-    }
-    if !(opts.epsilon > 0.0 && opts.epsilon < 1.0) {
-        return Err(MarkovError::InvalidOption {
-            what: format!("epsilon {} must be in (0,1)", opts.epsilon),
-        });
-    }
-    let rewards = chain.rewards();
-    if t == 0.0 {
-        let point = dot(p0, &rewards);
-        return Ok(TransientSolution {
-            time: 0.0,
-            probabilities: p0.to_vec(),
-            point_reward: point,
-            interval_reward: point,
-            truncation: 0.0,
-        });
-    }
-
-    let mut span = rascad_obs::span("markov.transient");
-    span.record("states", chain.len());
-    span.record("t", t);
-
-    let uni = uniformize(chain);
-    let lt = uni.rate * t;
-    span.record("uniformization_rate", uni.rate);
-
-    // Poisson weights with scaling: iterate w_k = e^{-lt} (lt)^k / k!
-    // in log space start, then multiply up. For large lt use the
-    // steady-state-free straightforward recurrence with renormalization
-    // guard (f64 handles lt up to ~700 in exp; beyond that, start from
-    // the mode with scaling).
-    let mut probs = p0.to_vec();
-    let mut point_acc = vec![0.0; chain.len()];
-    // cumulative-reward accumulator: L(t) = (1/Λ) Σ_k W_k p0 P^k with
-    // W_k = Σ_{j>k} poisson(j) = 1 - CDF(k).
-    let mut cum_acc = vec![0.0; chain.len()];
-
-    let weights = poisson_weights(lt, opts.epsilon, opts.max_terms)?;
-    // tail[k] = sum_{j > k} w_j  (computed as suffix sums over the
-    // truncated series; truncation error <= epsilon).
-    let kmax = weights.len() - 1;
-    let mut tail = vec![0.0; kmax + 1];
-    let mut run = 0.0;
-    for k in (0..=kmax).rev() {
-        tail[k] = run;
-        run += weights[k];
-    }
-    // tail2[k] = sum_{j >= k} tail[j], for closing the cumulative
-    // series when steady state is detected early.
-    let mut tail2 = vec![0.0; kmax + 2];
-    for k in (0..=kmax).rev() {
-        tail2[k] = tail2[k + 1] + tail[k];
-    }
-
-    let mut steps = 0usize;
-    // Scratch iterate reused across every SpMV step so the Poisson
-    // series allocates nothing per term.
-    let mut next = vec![0.0; chain.len()];
-    // Truncation-error series: tail[k] is exactly the Poisson mass not
-    // yet captured after term k, i.e. the running truncation error.
-    let mut trace = rascad_obs::trace::begin("transient", "truncation", chain.len());
-    for k in 0..=kmax {
-        for i in 0..chain.len() {
-            point_acc[i] += weights[k] * probs[i];
-            cum_acc[i] += tail[k] * probs[i];
-        }
-        trace.step(k + 1, tail[k]);
-        if k < kmax {
-            uni.dtmc.vec_mul_into(&probs, &mut next);
-            steps += 1;
-            // Steady-state detection: once the DTMC iterates stop
-            // moving, all remaining Poisson mass lands on the same
-            // vector — close both series in one step.
-            let delta: f64 = next.iter().zip(&probs).map(|(a, b)| (a - b).abs()).sum();
-            std::mem::swap(&mut probs, &mut next);
-            if delta < opts.epsilon * 1e-3 {
-                for i in 0..chain.len() {
-                    point_acc[i] += tail[k] * probs[i];
-                    cum_acc[i] += tail2[k + 1] * probs[i];
-                }
-                break;
-            }
-        }
-    }
-    span.record("kmax", kmax);
-    span.record("steps", steps);
-    rascad_obs::record_value("markov.transient.kmax", kmax as f64);
-    rascad_obs::counter("markov.transient.vec_mul_steps", steps as u64);
-    rascad_obs::counter("markov.transient.solves", 1);
-
-    // Normalize the point distribution against truncation loss.
-    let mass: f64 = point_acc.iter().sum();
-    // The probability mass the truncated series failed to capture —
-    // the per-solve summary of the per-term series traced above.
-    let truncation = (1.0 - mass).max(0.0);
-    rascad_obs::record_value("markov.transient.truncation", truncation);
-    trace.finish("done");
-    if mass > 0.0 {
-        for p in &mut point_acc {
-            *p /= mass;
-        }
-    }
-    let point = dot(&point_acc, &rewards);
-    let cumulative: f64 = cum_acc.iter().zip(&rewards).map(|(c, r)| c * r).sum::<f64>() / uni.rate;
-    let interval = cumulative / t;
-
-    Ok(TransientSolution {
-        time: t,
-        probabilities: point_acc,
-        point_reward: point,
-        interval_reward: interval.clamp(0.0, rewards.iter().cloned().fold(0.0, f64::max)),
-        truncation,
-    })
+    let mut sols = solve_grid(chain, p0, &[t], options)?;
+    Ok(sols.pop().expect("one time in, one solution out"))
 }
 
-/// Solves at each of several time points (reusing nothing across points;
-/// the chains here are small enough that clarity wins).
-///
-/// # Errors
-///
-/// Propagates errors from [`solve`].
-pub fn solve_many(
-    chain: &Ctmc,
-    p0: &[f64],
-    times: &[f64],
-    opts: TransientOptions,
-) -> Result<Vec<TransientSolution>, MarkovError> {
-    times.iter().map(|&t| solve(chain, p0, t, opts)).collect()
-}
-
-/// Solves at many time points in a *single* uniformization pass.
+/// Solves at every time of `times` in a *single* uniformization pass.
 ///
 /// The DTMC power sequence `p0 · Pᵏ` is computed once and shared across
-/// every requested time; each time point only contributes its own
-/// Poisson weights. For a grid of `m` points this is ~`m×` cheaper than
-/// [`solve_many`], which restarts the power iteration per point.
+/// every requested time; each time only contributes its own Poisson
+/// weights `w_k` and tails `W_k = Σ_{j>k} w_j`:
+/// `p(t) = Σ_k w_k p0 Pᵏ` and, for the expected cumulative reward,
+/// `L(t) = (1/Λ) Σ_k W_k p0 Pᵏ`. Once the iterates stop moving (steady
+/// state detected), every still-open series is closed in one step with
+/// its own remaining mass. Each time's arithmetic is independent of the
+/// other times in the grid, so a time's result is bit-identical whether
+/// it is solved alone or in a grid.
 ///
 /// Results are returned in the order of `times` (which need not be
-/// sorted).
+/// sorted). Only `options.cancel` is honoured: the token is checked
+/// while the weights are computed, at the first series term and then
+/// every 64 terms. The wall-clock budget is the steady-state ladder's
+/// per-rung budget and does not apply here.
 ///
 /// # Errors
 ///
-/// Same conditions as [`solve`].
+/// * [`MarkovError::InvalidOption`] for a negative or non-finite time,
+///   or a series longer than the term cap.
+/// * [`MarkovError::InvalidProbability`] if `p0` is not a distribution.
+/// * [`MarkovError::Cancelled`] when the caller's token trips.
 pub fn solve_grid(
     chain: &Ctmc,
     p0: &[f64],
     times: &[f64],
-    opts: TransientOptions,
+    options: &SolveOptions,
 ) -> Result<Vec<TransientSolution>, MarkovError> {
     check_distribution(p0, chain.len())?;
-    if !(opts.epsilon > 0.0 && opts.epsilon < 1.0) {
-        return Err(MarkovError::InvalidOption {
-            what: format!("epsilon {} must be in (0,1)", opts.epsilon),
-        });
-    }
     for &t in times {
         if !t.is_finite() || t < 0.0 {
             return Err(MarkovError::InvalidOption { what: format!("time {t} must be >= 0") });
         }
     }
-    let mut span = rascad_obs::span("markov.transient_grid");
-    span.record("states", chain.len());
+    let n = chain.len();
+    let mut span = rascad_obs::span("markov.transient");
+    span.record("states", n);
     span.record("points", times.len());
 
     let rewards = chain.rewards();
     let uni = uniformize(chain);
     span.record("uniformization_rate", uni.rate);
 
-    // Per-time Poisson weights and suffix (tail) sums, packed into one
-    // contiguous ragged buffer: series `i` occupies
-    // `weights[offsets[i]..offsets[i+1]]`, and `tails` shares the same
-    // layout. One allocation pair for the whole grid instead of two
-    // heap vectors per time point.
+    // Per-time Poisson weights and tails packed into one ragged buffer:
+    // the series of time `i` occupies `weights[offsets[i]..offsets[i+1]]`,
+    // and `tails` shares the layout.
     let mut weights: Vec<f64> = Vec::new();
     let mut offsets: Vec<usize> = Vec::with_capacity(times.len() + 1);
     offsets.push(0);
-    let mut kmax = 0usize;
     for &t in times {
-        let appended =
-            poisson_weights_into(uni.rate * t, opts.epsilon, opts.max_terms, &mut weights)?;
-        kmax = kmax.max(appended - 1);
+        poisson_weights_into(uni.rate * t, options, &mut weights)?;
         offsets.push(weights.len());
     }
+    let kmax = offsets.windows(2).map(|w| w[1] - w[0] - 1).max().unwrap_or(0);
     let mut tails = vec![0.0; weights.len()];
     for i in 0..times.len() {
         let mut run = 0.0;
         for k in (offsets[i]..offsets[i + 1]).rev() {
+            if k % PRECOMPUTE_CHECK_STRIDE == 0 && options.cancelled() {
+                return Err(options.cancelled_error("transient", 0));
+            }
             tails[k] = run;
             run += weights[k];
         }
     }
 
-    let n = chain.len();
-    // Row-major accumulators: time point `i` owns `[i * n .. (i+1) * n]`.
+    // Row-major accumulators: time `i` owns `[i * n .. (i+1) * n]`.
     let mut point_acc = vec![0.0; times.len() * n];
     let mut cum_acc = vec![0.0; times.len() * n];
     let mut probs = p0.to_vec();
-    // Scratch iterate reused across every SpMV step (no per-term
-    // allocation in the shared-series sweep).
+    // Scratch iterate reused across every SpMV step, so the series
+    // allocates nothing per term.
     let mut next = vec![0.0; n];
+    let mut steps = 0usize;
+    // Truncation-error series: the largest Poisson mass any time has
+    // not captured yet after term k.
+    let mut trace = rascad_obs::trace::begin("transient", "truncation", n);
     for k in 0..=kmax {
+        if k % TERM_CHECK_STRIDE == 0 && options.cancelled() {
+            trace.finish("cancelled");
+            return Err(options.cancelled_error("transient", k));
+        }
+        let mut uncaptured = 0.0f64;
         for i in 0..times.len() {
             let (lo, hi) = (offsets[i], offsets[i + 1]);
             if k < hi - lo {
                 let (wk, tk) = (weights[lo + k], tails[lo + k]);
-                let pa = &mut point_acc[i * n..(i + 1) * n];
-                for (s, p) in pa.iter_mut().enumerate() {
-                    *p += wk * probs[s];
-                }
-                let ca = &mut cum_acc[i * n..(i + 1) * n];
-                for (s, c) in ca.iter_mut().enumerate() {
-                    *c += tk * probs[s];
-                }
+                accumulate(&mut point_acc[i * n..(i + 1) * n], wk, &probs);
+                accumulate(&mut cum_acc[i * n..(i + 1) * n], tk, &probs);
+                uncaptured = uncaptured.max(tk);
             }
         }
-        if k < kmax {
-            uni.dtmc.vec_mul_into(&probs, &mut next);
-            std::mem::swap(&mut probs, &mut next);
+        trace.step(k + 1, uncaptured);
+        if k == kmax {
+            break;
+        }
+        uni.dtmc.vec_mul_into(&probs, &mut next);
+        steps += 1;
+        // Steady-state detection: once the DTMC iterates stop moving,
+        // all remaining Poisson mass lands on the same vector — close
+        // each open series with its own tails in one step.
+        let delta: f64 = next.iter().zip(&probs).map(|(a, b)| (a - b).abs()).sum();
+        std::mem::swap(&mut probs, &mut next);
+        if delta < EPSILON * 1e-3 {
+            for i in 0..times.len() {
+                let (lo, hi) = (offsets[i], offsets[i + 1]);
+                if k + 1 < hi - lo {
+                    // Σ_{j>k} W_j, summed from the far end.
+                    let tail_sum = tails[lo + k + 1..hi].iter().rev().fold(0.0, |acc, w| acc + w);
+                    accumulate(&mut point_acc[i * n..(i + 1) * n], tails[lo + k], &probs);
+                    accumulate(&mut cum_acc[i * n..(i + 1) * n], tail_sum, &probs);
+                }
+            }
+            break;
         }
     }
     span.record("kmax", kmax);
+    span.record("steps", steps);
     rascad_obs::record_value("markov.transient.kmax", kmax as f64);
-    rascad_obs::counter("markov.transient.vec_mul_steps", kmax as u64);
+    rascad_obs::counter("markov.transient.vec_mul_steps", steps as u64);
+    rascad_obs::counter("markov.transient.solves", times.len() as u64);
     rascad_obs::counter("markov.transient.grid_solves", 1);
+    trace.finish("done");
 
     let max_reward = rewards.iter().cloned().fold(0.0, f64::max);
     Ok(times
         .iter()
         .enumerate()
         .map(|(i, &t)| {
+            if t == 0.0 {
+                let point = dot(p0, &rewards);
+                return TransientSolution {
+                    time: 0.0,
+                    probabilities: p0.to_vec(),
+                    point_reward: point,
+                    interval_reward: point,
+                    truncation: 0.0,
+                };
+            }
+            // Normalize the point distribution against truncation loss.
             let mut p = point_acc[i * n..(i + 1) * n].to_vec();
             let mass: f64 = p.iter().sum();
             let truncation = (1.0 - mass).max(0.0);
+            rascad_obs::record_value("markov.transient.truncation", truncation);
             if mass > 0.0 {
                 for x in &mut p {
                     *x /= mass;
                 }
             }
             let point = dot(&p, &rewards);
-            let interval = if t > 0.0 {
-                (dot(&cum_acc[i * n..(i + 1) * n], &rewards) / uni.rate / t).clamp(0.0, max_reward)
-            } else {
-                point
-            };
+            let interval = dot(&cum_acc[i * n..(i + 1) * n], &rewards) / uni.rate / t;
             TransientSolution {
                 time: t,
                 probabilities: p,
                 point_reward: point,
-                interval_reward: interval,
+                interval_reward: interval.clamp(0.0, max_reward),
                 truncation,
             }
         })
         .collect())
 }
 
-/// Poisson pmf values `w_k = e^{-m} m^k / k!` for `k = 0..=kmax`, where
-/// `kmax` is chosen so the truncated tail mass is below `epsilon`.
+/// `acc += weight · probs`, elementwise.
+fn accumulate(acc: &mut [f64], weight: f64, probs: &[f64]) {
+    for (a, p) in acc.iter_mut().zip(probs) {
+        *a += weight * p;
+    }
+}
+
+/// Appends the Poisson pmf `w_k = e^{-m} m^k / k!` for `k = 0..=kmax`
+/// onto `out`, where `kmax` is chosen so the truncated tail mass is
+/// below [`EPSILON`]. Grid solves pack every time's series into one
+/// contiguous buffer this way.
 ///
 /// Uses left/right truncation with scaling for large `m` (Fox–Glynn
 /// style, simplified: start at the mode with weight 1, extend both ways,
-/// then normalize by the total).
-fn poisson_weights(m: f64, epsilon: f64, max_terms: usize) -> Result<Vec<f64>, MarkovError> {
-    let mut w = Vec::new();
-    poisson_weights_into(m, epsilon, max_terms, &mut w)?;
-    Ok(w)
-}
-
-/// Appends the truncated Poisson pmf for mean `m` onto `out` and returns
-/// the number of terms appended. Lets grid solvers pack many series into
-/// one contiguous buffer instead of allocating a `Vec` per time point.
+/// then normalize by the total). The weights below the left truncation
+/// point are exact zeros.
 fn poisson_weights_into(
     m: f64,
-    epsilon: f64,
-    max_terms: usize,
+    options: &SolveOptions,
     out: &mut Vec<f64>,
-) -> Result<usize, MarkovError> {
+) -> Result<(), MarkovError> {
     let start = out.len();
     if m <= 0.0 {
         out.push(1.0);
-        return Ok(1);
+        return Ok(());
     }
+    let too_long = || MarkovError::InvalidOption {
+        what: format!("poisson series for m={m} exceeded {MAX_TERMS} terms"),
+    };
     if m < 400.0 {
         // Direct recurrence is safe: e^{-400} is representable.
         out.reserve(64);
@@ -385,12 +296,10 @@ fn poisson_weights_into(
         let mut acc = wk;
         out.push(wk);
         let mut k = 1usize;
-        while 1.0 - acc > epsilon {
-            if k > max_terms {
+        while 1.0 - acc > EPSILON {
+            if k > MAX_TERMS {
                 out.truncate(start);
-                return Err(MarkovError::InvalidOption {
-                    what: format!("poisson series for m={m} exceeded {max_terms} terms"),
-                });
+                return Err(too_long());
             }
             wk *= m / k as f64;
             out.push(wk);
@@ -399,30 +308,35 @@ fn poisson_weights_into(
         }
     } else {
         // Scaled: weights relative to the mode, normalized at the end.
-        let mode = m.floor();
+        let mode = m.floor() as usize;
         let spread = (6.0 * m.sqrt()).ceil() as usize + 40;
-        let lo = (mode as isize - spread as isize).max(0) as usize;
-        let hi = mode as usize + spread;
-        if hi - lo > max_terms {
-            return Err(MarkovError::InvalidOption {
-                what: format!("poisson series for m={m} exceeded {max_terms} terms"),
-            });
+        let lo = mode.saturating_sub(spread);
+        let hi = mode + spread;
+        if hi - lo > MAX_TERMS {
+            return Err(too_long());
         }
         out.resize(start + hi + 1, 0.0);
-        let w = &mut out[start..];
-        w[mode as usize] = 1.0;
-        for k in (mode as usize + 1)..=hi {
-            w[k] = w[k - 1] * m / k as f64;
+        let w = &mut out[start + lo..];
+        let mode = mode - lo;
+        w[mode] = 1.0;
+        for k in (mode + 1)..w.len() {
+            if k % PRECOMPUTE_CHECK_STRIDE == 0 && options.cancelled() {
+                return Err(options.cancelled_error("transient", 0));
+            }
+            w[k] = w[k - 1] * m / (k + lo) as f64;
         }
-        for k in (lo..mode as usize).rev() {
-            w[k] = w[k + 1] * (k as f64 + 1.0) / m;
+        for k in (0..mode).rev() {
+            if k % PRECOMPUTE_CHECK_STRIDE == 0 && options.cancelled() {
+                return Err(options.cancelled_error("transient", 0));
+            }
+            w[k] = w[k + 1] * ((k + lo) as f64 + 1.0) / m;
         }
         let total: f64 = w.iter().sum();
         for x in w.iter_mut() {
             *x /= total;
         }
     }
-    Ok(out.len() - start)
+    Ok(())
 }
 
 fn check_distribution(p: &[f64], n: usize) -> Result<(), MarkovError> {
@@ -480,7 +394,7 @@ mod tests {
         let (l, mu) = (0.02, 0.4);
         let c = two_state(l, mu);
         for &t in &[0.1, 1.0, 5.0, 20.0, 100.0] {
-            let sol = solve(&c, &[1.0, 0.0], t, TransientOptions::default()).unwrap();
+            let sol = solve(&c, &[1.0, 0.0], t, &SolveOptions::default()).unwrap();
             assert!(
                 (sol.point_reward - a_point(l, mu, t)).abs() < 1e-10,
                 "t={t}: {} vs {}",
@@ -495,7 +409,7 @@ mod tests {
         let (l, mu) = (0.05, 0.8);
         let c = two_state(l, mu);
         for &t in &[0.5, 2.0, 10.0, 50.0] {
-            let sol = solve(&c, &[1.0, 0.0], t, TransientOptions::default()).unwrap();
+            let sol = solve(&c, &[1.0, 0.0], t, &SolveOptions::default()).unwrap();
             assert!(
                 (sol.interval_reward - a_interval(l, mu, t)).abs() < 1e-9,
                 "t={t}: {} vs {}",
@@ -509,7 +423,7 @@ mod tests {
     fn converges_to_steady_state() {
         let c = two_state(0.1, 0.9);
         let pi = c.steady_state(SteadyStateMethod::Gth).unwrap();
-        let sol = solve(&c, &[1.0, 0.0], 500.0, TransientOptions::default()).unwrap();
+        let sol = solve(&c, &[1.0, 0.0], 500.0, &SolveOptions::default()).unwrap();
         for (p, q) in sol.probabilities.iter().zip(&pi) {
             assert!((p - q).abs() < 1e-9);
         }
@@ -518,7 +432,7 @@ mod tests {
     #[test]
     fn time_zero_returns_initial() {
         let c = two_state(0.1, 0.9);
-        let sol = solve(&c, &[0.0, 1.0], 0.0, TransientOptions::default()).unwrap();
+        let sol = solve(&c, &[0.0, 1.0], 0.0, &SolveOptions::default()).unwrap();
         assert_eq!(sol.probabilities, vec![0.0, 1.0]);
         assert_eq!(sol.point_reward, 0.0);
     }
@@ -527,7 +441,7 @@ mod tests {
     fn large_lt_uses_scaled_weights() {
         // lt ~ 1000: forces the scaled Poisson branch.
         let c = two_state(1.0, 1.0);
-        let sol = solve(&c, &[1.0, 0.0], 500.0, TransientOptions::default()).unwrap();
+        let sol = solve(&c, &[1.0, 0.0], 500.0, &SolveOptions::default()).unwrap();
         assert!((sol.point_reward - 0.5).abs() < 1e-9);
         let sum: f64 = sol.probabilities.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
@@ -536,11 +450,29 @@ mod tests {
     #[test]
     fn bad_inputs_rejected() {
         let c = two_state(0.1, 0.9);
-        assert!(solve(&c, &[0.5, 0.4], 1.0, TransientOptions::default()).is_err());
-        assert!(solve(&c, &[1.0], 1.0, TransientOptions::default()).is_err());
-        assert!(solve(&c, &[1.0, 0.0], -1.0, TransientOptions::default()).is_err());
-        let bad = TransientOptions { epsilon: 0.0, ..Default::default() };
-        assert!(solve(&c, &[1.0, 0.0], 1.0, bad).is_err());
+        let opts = SolveOptions::default();
+        assert!(solve(&c, &[0.5, 0.4], 1.0, &opts).is_err());
+        assert!(solve(&c, &[1.0], 1.0, &opts).is_err());
+        assert!(solve(&c, &[1.0, 0.0], -1.0, &opts).is_err());
+    }
+
+    #[test]
+    fn only_the_cancel_token_bounds_the_series() {
+        let c = two_state(1.0, 1.0);
+        let token = crate::ctmc::CancelToken::new();
+        token.cancel();
+        let cancelled = SolveOptions { cancel: Some(token), ..SolveOptions::default() };
+        // Both the direct and the scaled Poisson branches stop typed.
+        for t in [1.0, 5000.0] {
+            let err = solve(&c, &[1.0, 0.0], t, &cancelled).unwrap_err();
+            assert!(matches!(err, MarkovError::Cancelled { method: "transient", .. }), "{err}");
+        }
+        // The wall clock is the steady ladder's per-rung budget: a zero
+        // budget leaves the transient answer unchanged.
+        let zero =
+            SolveOptions { wall_clock: Some(std::time::Duration::ZERO), ..SolveOptions::default() };
+        let default = solve(&c, &[1.0, 0.0], 5.0, &SolveOptions::default()).unwrap();
+        assert_eq!(solve(&c, &[1.0, 0.0], 5.0, &zero).unwrap(), default);
     }
 
     #[test]
@@ -557,7 +489,7 @@ mod tests {
             }
         }
         let c = b.build().unwrap();
-        let sol = solve(&c, &[0.2; 5], 3.7, TransientOptions::default()).unwrap();
+        let sol = solve(&c, &[0.2; 5], 3.7, &SolveOptions::default()).unwrap();
         let sum: f64 = sol.probabilities.iter().sum();
         assert!((sum - 1.0).abs() < 1e-12);
         for &p in &sol.probabilities {
@@ -566,19 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_is_pointwise_solve() {
-        let c = two_state(0.3, 0.7);
-        let times = [0.0, 1.0, 10.0];
-        let many = solve_many(&c, &[1.0, 0.0], &times, TransientOptions::default()).unwrap();
-        assert_eq!(many.len(), 3);
-        for (sol, &t) in many.iter().zip(&times) {
-            let single = solve(&c, &[1.0, 0.0], t, TransientOptions::default()).unwrap();
-            assert_eq!(sol, &single);
-        }
-    }
-
-    #[test]
-    fn solve_grid_matches_solve_many() {
+    fn solve_grid_is_bit_identical_to_pointwise_solve() {
         let mut b = CtmcBuilder::new();
         for i in 0..4 {
             b.add_state(format!("s{i}"), (i % 2) as f64);
@@ -589,15 +509,21 @@ mod tests {
         b.add_transition(2, 0, 1.1);
         let c = b.build().unwrap();
         let p0 = [1.0, 0.0, 0.0, 0.0];
-        let times = [0.0, 0.7, 3.0, 12.0, 80.0];
-        let grid = solve_grid(&c, &p0, &times, TransientOptions::default()).unwrap();
-        let many = solve_many(&c, &p0, &times, TransientOptions::default()).unwrap();
-        for (g, m) in grid.iter().zip(&many) {
-            assert_eq!(g.time, m.time);
-            assert!((g.point_reward - m.point_reward).abs() < 1e-10);
-            assert!((g.interval_reward - m.interval_reward).abs() < 1e-9);
-            for (a, b) in g.probabilities.iter().zip(&m.probabilities) {
-                assert!((a - b).abs() < 1e-10);
+        let opts = SolveOptions::default();
+        // A short time next to one long enough for steady-state
+        // detection to close the shared series early, a t = 0 point and
+        // a time in the scaled Poisson branch.
+        for (t1, t2) in [(0.7, 80.0), (0.0, 3.0), (12.0, 500.0)] {
+            let grid = solve_grid(&c, &p0, &[t1, t2], &opts).unwrap();
+            let one = solve(&c, &p0, t1, &opts).unwrap();
+            let two = solve(&c, &p0, t2, &opts).unwrap();
+            for (g, s) in grid.iter().zip([&one, &two]) {
+                assert_eq!(g.time.to_bits(), s.time.to_bits());
+                assert_eq!(g.point_reward.to_bits(), s.point_reward.to_bits());
+                assert_eq!(g.interval_reward.to_bits(), s.interval_reward.to_bits());
+                assert_eq!(g.truncation.to_bits(), s.truncation.to_bits());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&g.probabilities), bits(&s.probabilities));
             }
         }
     }
@@ -605,17 +531,18 @@ mod tests {
     #[test]
     fn solve_grid_unsorted_times_and_errors() {
         let c = two_state(0.1, 0.9);
-        let out = solve_grid(&c, &[1.0, 0.0], &[5.0, 1.0], TransientOptions::default()).unwrap();
+        let out = solve_grid(&c, &[1.0, 0.0], &[5.0, 1.0], &SolveOptions::default()).unwrap();
         assert_eq!(out[0].time, 5.0);
         assert_eq!(out[1].time, 1.0);
-        assert!(solve_grid(&c, &[1.0, 0.0], &[-1.0], TransientOptions::default()).is_err());
-        assert!(solve_grid(&c, &[0.9, 0.0], &[1.0], TransientOptions::default()).is_err());
+        assert!(solve_grid(&c, &[1.0, 0.0], &[-1.0], &SolveOptions::default()).is_err());
+        assert!(solve_grid(&c, &[0.9, 0.0], &[1.0], &SolveOptions::default()).is_err());
     }
 
     #[test]
     fn poisson_weights_sum_to_one() {
         for &m in &[0.5, 5.0, 50.0, 399.0, 401.0, 5000.0] {
-            let w = poisson_weights(m, 1e-12, 10_000_000).unwrap();
+            let mut w = Vec::new();
+            poisson_weights_into(m, &SolveOptions::default(), &mut w).unwrap();
             let s: f64 = w.iter().sum();
             assert!((s - 1.0).abs() < 1e-9, "m={m}, sum={s}");
         }

@@ -4,8 +4,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rascad_markov::transient::{self, TransientOptions};
-use rascad_markov::{Ctmc, CtmcBuilder, SteadyStateMethod};
+use rascad_markov::transient;
+use rascad_markov::{Ctmc, CtmcBuilder, SolveOptions, SteadyStateMethod};
 
 const CASES: usize = 256;
 
@@ -86,7 +86,7 @@ fn transient_is_distribution() {
         let t = rng.gen_range(0.0..20.0);
         let mut p0 = vec![0.0; chain.len()];
         p0[0] = 1.0;
-        let sol = transient::solve(&chain, &p0, t, TransientOptions::default()).unwrap();
+        let sol = transient::solve(&chain, &p0, t, &SolveOptions::default()).unwrap();
         let sum: f64 = sol.probabilities.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9, "case {case}: mass {sum} at t = {t}");
         for r in [sol.point_reward, sol.interval_reward] {

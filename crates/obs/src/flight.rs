@@ -8,7 +8,9 @@
 //! word plus an uncontended lock on its own ring. When something does
 //! fail (worker panic, degraded solve, process exit code ≥ 4) the CLI
 //! calls [`dump_to`], which merges every ring time-sorted into a
-//! `rascad-flight-<pid>.jsonl` post-mortem.
+//! `rascad-flight-<pid>.jsonl` post-mortem. A thread's ring outlives
+//! the thread only as its share of one retired ring, which keeps the
+//! latest events of all exited threads.
 //!
 //! The recorder is independent of the telemetry subscriber: it keeps
 //! recording with no sinks installed, and its rings survive
@@ -67,12 +69,25 @@ impl FlightEvent {
     }
 }
 
+#[derive(Default)]
 struct Ring {
     buf: VecDeque<FlightEvent>,
     next_seq: u64,
 }
 
 impl Ring {
+    /// Folds an exited thread's events into this (the retired) ring,
+    /// keeping the latest [`RING_CAPACITY`] across every exited thread.
+    /// Events keep their thread ordinal and sequence number.
+    fn retire(&mut self, events: VecDeque<FlightEvent>) {
+        self.buf.extend(events);
+        if self.buf.len() > RING_CAPACITY {
+            self.buf.make_contiguous().sort_by_key(|e| (e.at_us, e.tid, e.seq));
+            let excess = self.buf.len() - RING_CAPACITY;
+            self.buf.drain(..excess);
+        }
+    }
+
     fn push(&mut self, mut ev: FlightEvent) {
         ev.seq = self.next_seq;
         self.next_seq += 1;
@@ -84,6 +99,8 @@ impl Ring {
 }
 
 struct FlightState {
+    /// The retired ring at index 0 — the last events of threads that
+    /// have exited — then one ring per live instrumented thread.
     rings: Mutex<Vec<Arc<Mutex<Ring>>>>,
     /// Ring contents captured at [`note_incident`] time. The live
     /// rings keep rotating after an incident (a degraded best-effort
@@ -100,12 +117,26 @@ struct FlightState {
 static STATE: OnceLock<FlightState> = OnceLock::new();
 
 thread_local! {
-    static RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
+    static RING: RefCell<Option<RingHandle>> = const { RefCell::new(None) };
+}
+
+/// A live thread's registered ring. Dropped when the thread exits: its
+/// events move to the retired ring and the ring is unregistered, so the
+/// ring list stays O(live threads).
+struct RingHandle(Arc<Mutex<Ring>>);
+
+impl Drop for RingHandle {
+    fn drop(&mut self) {
+        let mut rings = lock(&state().rings);
+        rings.retain(|r| !Arc::ptr_eq(r, &self.0));
+        let dead = std::mem::take(&mut lock(&self.0).buf);
+        lock(&rings[0]).retire(dead);
+    }
 }
 
 fn state() -> &'static FlightState {
     STATE.get_or_init(|| FlightState {
-        rings: Mutex::new(Vec::new()),
+        rings: Mutex::new(vec![Arc::default()]),
         pinned: Mutex::new(Vec::new()),
         incidents: Mutex::new(Vec::new()),
         incident: AtomicBool::new(false),
@@ -141,15 +172,15 @@ pub(crate) fn note(kind: &'static str, name: &'static str, num: f64, detail: Str
     let ev = FlightEvent { at_us, tid: crate::current_tid(), seq: 0, kind, name, num, detail };
     RING.with(|slot| {
         let mut slot = slot.borrow_mut();
-        let arc = slot.get_or_insert_with(|| {
+        let handle = slot.get_or_insert_with(|| {
             let arc = Arc::new(Mutex::new(Ring {
                 buf: VecDeque::with_capacity(RING_CAPACITY),
                 next_seq: 0,
             }));
             lock(&s.rings).push(Arc::clone(&arc));
-            arc
+            RingHandle(arc)
         });
-        lock(arc).push(ev);
+        lock(&handle.0).push(ev);
     });
 }
 
@@ -166,8 +197,8 @@ pub(crate) fn note_incident(name: &'static str, detail: &str) {
     // on this thread moments ago), and the live ring will rotate them
     // out if the run continues. The dump dedups by (tid, seq).
     RING.with(|slot| {
-        if let Some(arc) = slot.borrow().as_ref() {
-            lock(&s.pinned).extend(lock(arc).buf.iter().cloned());
+        if let Some(handle) = slot.borrow().as_ref() {
+            lock(&s.pinned).extend(lock(&handle.0).buf.iter().cloned());
         }
     });
 }
@@ -250,5 +281,22 @@ mod tests {
         // The oldest 10 rotated out.
         assert_eq!(ring.buf.front().unwrap().at_us, 10);
         assert_eq!(ring.buf.back().unwrap().at_us, (RING_CAPACITY + 9) as u64);
+    }
+
+    #[test]
+    fn exited_threads_fold_into_the_retired_ring() {
+        let _guard = crate::serial();
+        let rings = || lock(&state().rings).len();
+        let before = rings();
+        for _ in 0..256 {
+            std::thread::spawn(|| note("counter", "obs.test.retired", 1.0, String::new()))
+                .join()
+                .unwrap();
+        }
+        // `join` returns after the thread-local destructors ran; a test
+        // thread that finished just before may retire its ring meanwhile.
+        assert!(rings() <= before);
+        let retired = lock(&lock(&state().rings)[0]).buf.len();
+        assert_eq!(retired, RING_CAPACITY);
     }
 }

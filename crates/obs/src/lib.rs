@@ -482,20 +482,22 @@ pub fn flight_event(name: &'static str, num: f64, detail: &str) {
     }
 }
 
+/// The subscriber, the registry and the flight recorder are
+/// process-global, so tests that install, reset or count them must not
+/// interleave.
+#[cfg(test)]
+pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
+    lock(&TEST_LOCK)
+}
+
 #[cfg(test)]
 #[allow(clippy::float_cmp)] // snapshots must carry values through exactly
 mod tests {
     use super::*;
-    use std::sync::{Arc, MutexGuard};
+    use crate::serial;
+    use std::sync::Arc;
     use std::time::Duration;
-
-    /// The subscriber is process-global, so tests that install it must
-    /// not interleave.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-    fn serial() -> MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
 
     /// Capturing sink sharing its event log with the test body.
     #[derive(Clone, Default)]

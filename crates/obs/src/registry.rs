@@ -3,6 +3,8 @@
 //!
 //! Each instrumented thread owns one [`Shard`] (a pair of `BTreeMap`s
 //! behind a mutex that is only contended when a snapshot is taken).
+//! When the thread exits its shard is folded into one retired shard,
+//! so the registry holds O(live threads) shards and exact totals.
 //! [`MetricsRegistry::snapshot`] merges every shard into one
 //! [`RegistrySnapshot`] *without* disturbing the accumulation — a
 //! long-running process can be scraped mid-run — while
@@ -209,7 +211,7 @@ pub const CATALOG: &[MetricDesc] = &[
         name: "markov.transient.grid_solves",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Transient grid evaluations (uniformization)",
+        help: "Uniformization passes, one per transient solve of any number of times",
     },
     MetricDesc {
         name: "markov.transient.kmax",
@@ -221,7 +223,7 @@ pub const CATALOG: &[MetricDesc] = &[
         name: "markov.transient.solves",
         kind: MetricKind::Counter,
         labels: &[],
-        help: "Point transient solves (uniformization)",
+        help: "Time points answered by transient solves (uniformization)",
     },
     MetricDesc {
         name: "markov.transient.truncation",
@@ -370,6 +372,15 @@ impl Shard {
         self.counters.clear();
         self.values.clear();
     }
+
+    fn absorb(&mut self, other: Shard) {
+        for (id, v) in other.counters {
+            *self.counters.entry(id).or_insert(0) += v;
+        }
+        for (id, h) in other.values {
+            self.values.entry(id).or_default().merge(&h);
+        }
+    }
 }
 
 /// A merged, point-in-time view of every series in the registry.
@@ -416,6 +427,8 @@ impl RegistrySnapshot {
 /// it through the free functions in the crate root (`counter`,
 /// `counter_with`, …), which are gated on the telemetry flag.
 pub struct MetricsRegistry {
+    /// The retired shard at index 0 — the totals of every thread that
+    /// has exited — then one shard per live instrumented thread.
     shards: Mutex<Vec<Arc<Mutex<Shard>>>>,
     /// Gauges are set-not-accumulated, so they live globally (last
     /// write wins, under one rarely-taken lock) instead of per shard.
@@ -426,14 +439,29 @@ static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
 
 thread_local! {
     /// This thread's shard, shared with the global registry.
-    static SHARD: RefCell<Option<Arc<Mutex<Shard>>>> = const { RefCell::new(None) };
+    static SHARD: RefCell<Option<ShardHandle>> = const { RefCell::new(None) };
+}
+
+/// A live thread's registered shard. Dropped when the thread exits: the
+/// shard is folded into the retired shard and unregistered, so the
+/// shard list stays O(live threads) while every total stays exact.
+struct ShardHandle(Arc<Mutex<Shard>>);
+
+impl Drop for ShardHandle {
+    fn drop(&mut self) {
+        // Under the list lock: a scrape sees each series exactly once.
+        let mut shards = lock(&MetricsRegistry::global().shards);
+        shards.retain(|s| !Arc::ptr_eq(s, &self.0));
+        let dead = std::mem::take(&mut *lock(&self.0));
+        lock(&shards[0]).absorb(dead);
+    }
 }
 
 impl MetricsRegistry {
     /// The process-wide registry.
     pub fn global() -> &'static MetricsRegistry {
         REGISTRY.get_or_init(|| MetricsRegistry {
-            shards: Mutex::new(Vec::new()),
+            shards: Mutex::new(vec![Arc::default()]),
             gauges: Mutex::new(BTreeMap::new()),
         })
     }
@@ -488,12 +516,12 @@ impl MetricsRegistry {
 fn with_shard(f: impl FnOnce(&mut Shard)) {
     SHARD.with(|slot| {
         let mut slot = slot.borrow_mut();
-        let arc = slot.get_or_insert_with(|| {
+        let handle = slot.get_or_insert_with(|| {
             let arc = Arc::new(Mutex::new(Shard::default()));
             lock(&MetricsRegistry::global().shards).push(Arc::clone(&arc));
-            arc
+            ShardHandle(arc)
         });
-        f(&mut lock(arc));
+        f(&mut lock(&handle.0));
     });
 }
 
@@ -542,6 +570,23 @@ mod tests {
         }
         assert!(describe("markov.solves").is_some());
         assert!(describe("no.such.metric").is_none());
+    }
+
+    #[test]
+    fn exited_threads_fold_into_the_retired_shard() {
+        let _guard = crate::serial();
+        let registry = MetricsRegistry::global();
+        let before = lock(&registry.shards).len();
+        for _ in 0..256 {
+            std::thread::spawn(|| add_counter(SeriesId::plain("obs.test.retired"), 1))
+                .join()
+                .unwrap();
+        }
+        // `join` returns after the thread-local destructors ran. A test
+        // thread that finished just before this one may retire its own
+        // shard meanwhile, so the list can only have shrunk.
+        assert!(lock(&registry.shards).len() <= before);
+        assert_eq!(registry.snapshot().counter_total("obs.test.retired"), Some(256));
     }
 
     #[test]

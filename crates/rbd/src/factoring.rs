@@ -73,12 +73,6 @@ impl Network {
         Ok(())
     }
 
-    /// Number of edges.
-    #[must_use]
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Computes two-terminal reliability (probability source and sink
     /// are connected by working edges).
     ///

@@ -235,6 +235,9 @@ fn dump_flight(why: &str) {
 
 /// Serves one connection: keep-alive loop of read → route → respond.
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
+    // Responses are single complete writes; holding one back for an ACK
+    // (Nagle) only stalls keep-alive clients by their delayed-ACK timer.
+    stream.set_nodelay(true).ok();
     loop {
         let req = match http::read_request(&mut stream, &shared.limits) {
             Ok(Some(req)) => req,

@@ -6,7 +6,7 @@ mod common;
 
 use std::time::Duration;
 
-use common::{escape, flight_path, request, spec_dsl, TestServer};
+use common::{escape, flight_path, parse_response, request, spec_dsl, TestServer};
 use rascad_obs::json;
 use rascad_serve::{AdmissionConfig, ServeConfig};
 
@@ -183,6 +183,33 @@ fn deadline_on_a_large_chain_is_a_typed_504_within_twice_the_budget() {
     let (status, _, body) =
         request(srv.addr, "POST", "/v1/solve", &format!(r#"{{"spec":"{spec}"}}"#));
     assert_eq!(status, 200, "{body}");
+}
+
+#[test]
+fn twenty_keep_alive_requests_on_one_connection_take_under_200_ms() {
+    use std::io::{Read, Write};
+    let srv = default_server();
+    let mut stream = std::net::TcpStream::connect(srv.addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n").unwrap();
+        // One whole response: the head byte by byte, then the body.
+        let mut head = Vec::new();
+        while !head.ends_with(b"\r\n\r\n") {
+            let mut byte = [0u8];
+            stream.read_exact(&mut byte).unwrap();
+            head.push(byte[0]);
+        }
+        let (status, headers, _) = parse_response(&head);
+        assert_eq!(status, 200);
+        let length = header(&headers, "content-length").unwrap().parse().unwrap();
+        stream.read_exact(&mut vec![0; length]).unwrap();
+    }
+    // A response split over two writes waits for the client's delayed
+    // ACK (about 40 ms) on every request after the first.
+    let elapsed = started.elapsed();
+    assert!(elapsed < Duration::from_millis(200), "20 keep-alive requests took {elapsed:?}");
 }
 
 #[test]

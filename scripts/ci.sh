@@ -26,6 +26,15 @@ cargo clippy --workspace --all-targets --all-features --offline -- -D warnings \
 echo "==> cargo test --workspace"
 cargo test --workspace --offline -q
 
+# The benchmark harness (perfbench/harness) is a workspace of its own
+# that builds against this workspace's public API, so the workspace
+# gates above never compile it. Check it here so an API change that
+# breaks the benchmark fails the gate. The separate target directory
+# keeps its build apart from the workspace's.
+echo "==> cargo check perfbench harness"
+cargo check --offline --locked --manifest-path perfbench/harness/Cargo.toml \
+    --target-dir target/perfbench-harness
+
 # Every bundled spec and library model must lint clean through Tier C:
 # errors and warnings block (exit 7); info-level notes (including the
 # expected RAS2xx structural findings) are allowed.
